@@ -7,7 +7,7 @@
 #   make bench-engine  engine + batch + topology benchmarks + enforced report
 #   make distributed-smoke  distributed executor vs serial: identity + crash recovery
 #   make service-smoke  HTTP sweep service end to end: submit/stream/fetch vs direct run
-#   make fuzz       bounded differential fuzz of the four engines
+#   make fuzz       bounded differential fuzz of the three engines
 #   make validate   statistical golden-band validation (repro.validation)
 #   make validate-update  re-measure and re-commit the golden bands
 #   make lint       ruff (pyproject.toml config) when available, else docs-lint
@@ -65,6 +65,8 @@ coverage:
 bench:
 	$(PYTHON) -m pytest -q benchmarks
 
+# Snapshots go to BENCH_OUT_DIR, the gitignored benchmarks/_out/ when unset;
+# refresh the committed ones deliberately: BENCH_OUT_DIR=benchmarks make bench-engine
 bench-engine:
 	$(PYTHON) -m pytest -q benchmarks/test_perf_engine.py \
 		benchmarks/test_perf_batch.py benchmarks/test_perf_workloads.py \
@@ -92,7 +94,7 @@ service-smoke:
 	$(PYTHON) tools/service_smoke.py
 
 # Property-based differential fuzzing: FUZZ_BUDGET configurations sampled
-# from the registries' whole space, each run on all four engines and
+# from the registries' whole space, each run on all three engines and
 # compared flit for flit.  Failures shrink and print a one-line
 # `python -m repro.validation --replay '<spec>'` reproducer.
 fuzz:

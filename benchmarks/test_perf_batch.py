@@ -14,19 +14,17 @@ regeneration and CI regression sweeps whose wall-clock is dominated by
 Python per-point overhead (topology build, path compilation, per-flit
 allocation, per-cycle loop entry) rather than steady-state transport.
 Both engines run the same windows, so the comparison is apples to apples;
-``benchmarks/BENCH_engine.json`` records the windows next to the numbers.
+the snapshot records the windows next to the numbers.
 
-The measured speedup is merged into ``BENCH_engine.json`` under a
-``"batch"`` key, reported by ``tools/bench_report.py`` and gated against
+The measured speedup is merged into the ``BENCH_engine.json`` snapshot
+(under ``BENCH_OUT_DIR``, see ``conftest.py``) under a ``"batch"`` key,
+reported by ``tools/bench_report.py`` and gated against
 the committed baseline by ``make bench-engine`` / the CI bench-smoke job.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from pathlib import Path
 
 from repro.core.cluster import MemPoolCluster
 from repro.core.config import MemPoolConfig
@@ -40,11 +38,6 @@ SEED = 0
 #: Timing repetitions; the minimum filters scheduler noise (same policy
 #: as ``test_perf_engine``).
 REPETITIONS = 3
-
-RESULT_PATH = (
-    Path(os.environ.get("BENCH_OUT_DIR") or Path(__file__).resolve().parent)
-    / "BENCH_engine.json"
-)
 #: Minimum acceptable batch-over-sequential speedup — the ISSUE's ≥2x
 #: target, kept as a hard floor below the recorded baseline so the suite
 #: stays green on slow, noisy CI boxes while still catching a batch
@@ -85,7 +78,7 @@ def _batched_sweep() -> tuple[float, list]:
     return time.perf_counter() - started, results
 
 
-def test_batch_speedup_and_append_bench(report_sink):
+def test_batch_speedup_and_append_bench(report_sink, bench_snapshot):
     # Cycle-exactness gate first: the two execution styles must compute
     # the same sweep, or the timing comparison is meaningless.
     config = MemPoolConfig.scaled("top1")
@@ -121,8 +114,7 @@ def test_batch_speedup_and_append_bench(report_sink):
     speedup = sequential_best / batch_best
     points = len(FIG5_TOPOLOGIES) * len(DEFAULT_LOADS)
 
-    payload = json.loads(RESULT_PATH.read_text()) if RESULT_PATH.exists() else {}
-    payload["batch"] = {
+    section = {
         "benchmark": (
             f"64-core fig5 load sweep ({len(FIG5_TOPOLOGIES)} topologies x "
             f"{len(DEFAULT_LOADS)} loads, {WARMUP_CYCLES}+{MEASURE_CYCLES} "
@@ -136,11 +128,10 @@ def test_batch_speedup_and_append_bench(report_sink):
         "batch_seconds": round(batch_best, 4),
         "speedup": round(speedup, 2),
     }
-    RESULT_PATH.parent.mkdir(parents=True, exist_ok=True)
-    RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    path = bench_snapshot("BENCH_engine.json", {"batch": section})
     report_sink.append(
-        f"batch benchmark ({payload['batch']['benchmark']}): "
+        f"batch benchmark ({section['benchmark']}): "
         f"{points} points, sequential {sequential_best:.3f}s -> batched "
-        f"{batch_best:.3f}s, speedup {speedup:.2f}x -> {RESULT_PATH.name}"
+        f"{batch_best:.3f}s, speedup {speedup:.2f}x -> {path.name}"
     )
     assert speedup >= SPEEDUP_FLOOR

@@ -1,8 +1,9 @@
 """Performance benchmark: legacy vs vectorized flit-transport engine.
 
 Times ``advance()`` — the cycle-level transport core — of both engines on
-the same 64-core load sweep and writes the measurements to
-``benchmarks/BENCH_engine.json``: simulated cycles per second of wall time
+the same 64-core load sweep and writes the measurements to the
+``BENCH_engine.json`` snapshot (under ``BENCH_OUT_DIR``, see
+``conftest.py``): simulated cycles per second of wall time
 for each engine, the advance speedup (the headline number) and the
 end-to-end sweep speedup.  ``tools/bench_report.py`` diffs that file
 against the committed baseline (``BENCH_engine.baseline.json``) and fails
@@ -19,15 +20,11 @@ thing.
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from pathlib import Path
 
 from repro.core.cluster import MemPoolCluster
 from repro.core.config import MemPoolConfig
 from repro.engine import VectorStageNetwork
-from repro.engine.kernel import JIT_ENABLED
 from repro.traffic.simulation import TrafficSimulation
 
 #: Injected loads of the benchmark sweep (request/core/cycle); spans the
@@ -38,24 +35,10 @@ WARMUP_CYCLES = 300
 MEASURE_CYCLES = 1000
 SEED = 0
 
-#: Snapshot destination.  ``BENCH_OUT_DIR`` redirects the write so local
-#: re-runs do not dirty the committed snapshot, which is only refreshed
-#: deliberately from a reference host (host noise swings the per-pattern
-#: numbers by tens of percent between runs).
-RESULT_PATH = (
-    Path(os.environ.get("BENCH_OUT_DIR") or Path(__file__).resolve().parent)
-    / "BENCH_engine.json"
-)
 #: Minimum acceptable advance() speedup — a hard floor well below the
 #: recorded baseline, so the suite stays green on slow, noisy CI boxes
 #: while still catching a vector engine that stopped being faster.
 SPEEDUP_FLOOR = 2.0
-#: Minimum compiled-over-vector advance() speedup with the numba backend.
-#: Only asserted when the JIT is active: the pure-Python fallback runs the
-#: same kernels as interpreted bytecode and is legitimately slower than
-#: the vector engine (tools/bench_report.py gates each jit mode only
-#: against a baseline recorded in the same mode).
-COMPILED_SPEEDUP_FLOOR = 10.0
 #: Window of the paper-scale 256-core smoke sweep (short on purpose: at
 #: 256 cores the per-cycle work is the signal, not the horizon).
 FULL_SCALE_WARMUP = 50
@@ -113,7 +96,7 @@ def _run_sweep(engine: str, repetitions: int = 2) -> dict:
     }
 
 
-def test_engine_speedup_and_write_bench(report_sink):
+def test_engine_speedup_and_write_bench(report_sink, bench_snapshot):
     # Cycle-exactness gate: both engines must compute the same sweep.
     logs = {}
     for engine in ("legacy", "vector"):
@@ -127,86 +110,42 @@ def test_engine_speedup_and_write_bench(report_sink):
     vector = _run_sweep("vector")
     advance_speedup = legacy["advance_seconds"] / vector["advance_seconds"]
     end_to_end_speedup = legacy["total_seconds"] / vector["total_seconds"]
-    # Merge-update: the batch/workload benchmarks keep their own sections
-    # in the same file, whichever order the suite ran in.
-    payload = json.loads(RESULT_PATH.read_text()) if RESULT_PATH.exists() else {}
-    payload.update(
+    benchmark = (
+        f"64-core load sweep ({BENCH_TOPOLOGY}, loads {list(BENCH_LOADS)}, "
+        f"{WARMUP_CYCLES}+{MEASURE_CYCLES} cycles/point)"
+    )
+    path = bench_snapshot(
+        "BENCH_engine.json",
         {
-            "benchmark": "64-core load sweep "
-                         f"({BENCH_TOPOLOGY}, loads {list(BENCH_LOADS)}, "
-                         f"{WARMUP_CYCLES}+{MEASURE_CYCLES} cycles/point)",
+            "benchmark": benchmark,
             "legacy": legacy,
             "vector": vector,
             "speedup": round(advance_speedup, 2),
             "end_to_end_speedup": round(end_to_end_speedup, 2),
-        }
+        },
     )
-    RESULT_PATH.parent.mkdir(parents=True, exist_ok=True)
-    RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     report_sink.append(
-        f"engine benchmark ({payload['benchmark']}): "
+        f"engine benchmark ({benchmark}): "
         f"advance {advance_speedup:.2f}x, end-to-end {end_to_end_speedup:.2f}x "
         f"({legacy['advance_cycles_per_sec']} -> "
-        f"{vector['advance_cycles_per_sec']} cycles/s) -> {RESULT_PATH.name}"
+        f"{vector['advance_cycles_per_sec']} cycles/s) -> {path.name}"
     )
     assert advance_speedup >= SPEEDUP_FLOOR
 
 
-def test_compiled_speedup_and_write_bench(report_sink):
-    """Compiled-kernel engine vs the vector engine on the same sweep.
-
-    Merges a ``"compiled"`` section into ``BENCH_engine.json`` with the
-    advance speedup over vector and the ``jit`` flag recording which
-    kernel backend produced it; ``tools/bench_report.py`` gates the ratio
-    only against a baseline recorded in the same jit mode.
-    """
-    # Cycle-exactness gate first: same sweep, same flits.
-    logs = {}
-    for engine in ("vector", "compiled"):
-        cluster = MemPoolCluster(MemPoolConfig.scaled(BENCH_TOPOLOGY), engine=engine)
-        logs[engine] = TrafficSimulation(cluster, 0.3, seed=SEED).run(
-            warmup_cycles=100, measure_cycles=300, record_flits=True
-        ).flit_log
-    assert logs["vector"] == logs["compiled"]
-
-    vector = _run_sweep("vector")
-    compiled = _run_sweep("compiled")
-    speedup = vector["advance_seconds"] / compiled["advance_seconds"]
-    payload = json.loads(RESULT_PATH.read_text()) if RESULT_PATH.exists() else {}
-    payload["compiled"] = {
-        "benchmark": "64-core load sweep "
-                     f"({BENCH_TOPOLOGY}, loads {list(BENCH_LOADS)}, "
-                     f"{WARMUP_CYCLES}+{MEASURE_CYCLES} cycles/point)",
-        "vector": vector,
-        "compiled": compiled,
-        "speedup_vs_vector": round(speedup, 2),
-        "jit": JIT_ENABLED,
-    }
-    RESULT_PATH.parent.mkdir(parents=True, exist_ok=True)
-    RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    mode = "numba JIT" if JIT_ENABLED else "pure-Python kernels"
-    report_sink.append(
-        f"compiled benchmark ({mode}): advance {speedup:.2f}x over vector "
-        f"({vector['advance_cycles_per_sec']} -> "
-        f"{compiled['advance_cycles_per_sec']} cycles/s) -> {RESULT_PATH.name}"
-    )
-    if JIT_ENABLED:
-        assert speedup >= COMPILED_SPEEDUP_FLOOR
-
-
-def test_full_scale_smoke_sweep_and_write_bench(report_sink):
+def test_full_scale_smoke_sweep_and_write_bench(report_sink, bench_snapshot):
     """Paper-scale 256-core fig5-style point: exact and CI-friendly fast.
 
     Runs one short uniform-load point on the full 256-core TopH cluster
-    through all three per-sim engines, asserts flit-for-flit identity, and
-    records the compiled engine's wall time in the ``"compiled"`` section
+    through the legacy and vector engines, asserts flit-for-flit identity,
+    and records both wall times in the ``"full_scale"`` section
     (informational — machine-dependent).
     """
     config = MemPoolConfig.full("toph")
     assert config.num_cores == 256
     logs = {}
     seconds = {}
-    for engine in ("legacy", "vector", "compiled"):
+    for engine in ("legacy", "vector"):
         cluster = MemPoolCluster(config, engine=engine)
         cluster.network  # build/compile outside the timing
         started = time.perf_counter()
@@ -218,20 +157,19 @@ def test_full_scale_smoke_sweep_and_write_bench(report_sink):
         seconds[engine] = time.perf_counter() - started
     assert logs["legacy"]  # the comparison must not be vacuous
     assert logs["legacy"] == logs["vector"]
-    assert logs["legacy"] == logs["compiled"]
 
-    payload = json.loads(RESULT_PATH.read_text()) if RESULT_PATH.exists() else {}
-    section = payload.setdefault("compiled", {})
-    section["full_scale"] = {
-        "benchmark": "256-core toph uniform point, load 0.15, "
-                     f"{FULL_SCALE_WARMUP}+{FULL_SCALE_MEASURE} cycles",
-        "jit": JIT_ENABLED,
-        "seconds": {name: round(value, 3) for name, value in seconds.items()},
-    }
-    RESULT_PATH.parent.mkdir(parents=True, exist_ok=True)
-    RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    path = bench_snapshot(
+        "BENCH_engine.json",
+        {
+            "full_scale": {
+                "benchmark": "256-core toph uniform point, load 0.15, "
+                             f"{FULL_SCALE_WARMUP}+{FULL_SCALE_MEASURE} cycles",
+                "seconds": {name: round(value, 3) for name, value in seconds.items()},
+            }
+        },
+    )
     report_sink.append(
         "full-scale smoke (256-core toph): flit-for-flit identical; "
         + ", ".join(f"{name} {value:.2f}s" for name, value in seconds.items())
-        + f" -> {RESULT_PATH.name}"
+        + f" -> {path.name}"
     )

@@ -2,8 +2,9 @@
 
 Sweeps every registered destination pattern (Poisson injection) through the
 64-core Top1 cluster on the vector engine and records simulated cycles per
-second of wall time per pattern.  The numbers are merged into
-``benchmarks/BENCH_engine.json`` under a ``"workloads"`` key, which
+second of wall time per pattern.  The numbers are merged into the
+``BENCH_engine.json`` snapshot (under ``BENCH_OUT_DIR``, see
+``conftest.py``) under a ``"workloads"`` key, which
 ``tools/bench_report.py`` prints next to the legacy-vs-vector engine
 comparison — so a pattern whose dispatch path regresses (say, a batched
 ``destinations`` implementation that falls back to a per-flit Python loop)
@@ -17,10 +18,7 @@ is also what the report prints.
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from pathlib import Path
 
 from repro.core.cluster import MemPoolCluster
 from repro.core.config import MemPoolConfig
@@ -33,11 +31,6 @@ BENCH_LOAD = 0.25
 WARMUP_CYCLES = 100
 MEASURE_CYCLES = 500
 SEED = 0
-
-RESULT_PATH = (
-    Path(os.environ.get("BENCH_OUT_DIR") or Path(__file__).resolve().parent)
-    / "BENCH_engine.json"
-)
 
 
 def _time_pattern(pattern: str) -> dict:
@@ -59,7 +52,7 @@ def _time_pattern(pattern: str) -> dict:
     }
 
 
-def test_pattern_sweep_and_append_bench(report_sink):
+def test_pattern_sweep_and_append_bench(report_sink, bench_snapshot):
     # Patterns with required parameters (trace replay needs a path) have
     # no default construction and are benchmarked by their own suites.
     measurements = {
@@ -74,8 +67,7 @@ def test_pattern_sweep_and_append_bench(report_sink):
         assert metrics["throughput"] > 0.0, pattern
         assert metrics["cycles_per_sec"] > 0, pattern
 
-    payload = json.loads(RESULT_PATH.read_text()) if RESULT_PATH.exists() else {}
-    payload["workloads"] = {
+    section = {
         "benchmark": (
             f"64-core pattern sweep ({BENCH_TOPOLOGY}, vector engine, load "
             f"{BENCH_LOAD}, {WARMUP_CYCLES}+{MEASURE_CYCLES} cycles/pattern, "
@@ -83,14 +75,13 @@ def test_pattern_sweep_and_append_bench(report_sink):
         ),
         "patterns": measurements,
     }
-    RESULT_PATH.parent.mkdir(parents=True, exist_ok=True)
-    RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    path = bench_snapshot("BENCH_engine.json", {"workloads": section})
 
     uniform = measurements["uniform"]["cycles_per_sec"]
     slowest = min(measurements, key=lambda p: measurements[p]["cycles_per_sec"])
     report_sink.append(
-        f"workload benchmark ({payload['workloads']['benchmark']}): "
+        f"workload benchmark ({section['benchmark']}): "
         f"uniform {uniform} cycles/s, slowest {slowest} "
         f"{measurements[slowest]['cycles_per_sec']} cycles/s "
-        f"-> {RESULT_PATH.name}"
+        f"-> {path.name}"
     )

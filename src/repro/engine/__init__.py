@@ -12,21 +12,16 @@ legacy engine, and cycle-exact with it for fixed seeds.
 :class:`~repro.engine.batch.SimBatch` advances many independent
 simulations (a whole load sweep) in one flattened state, amortising the
 per-point Python overhead while staying flit-for-flit identical to
-per-sim runs.  :mod:`repro.engine.compiled` goes one layer lower still:
-per-stage queues become fixed-capacity ring buffers, move chains become
-flat int32 tables, and the whole advance pass runs as one typed-array
-kernel (:mod:`repro.engine.kernel`) — JIT-compiled by Numba when the
-optional ``[perf]`` extra is installed, pure-Python reference otherwise.
+per-sim runs.
 
-Select an engine per cluster::
+Select an engine per cluster (``"legacy"``, ``"vector"`` or ``"batch"``)::
 
-    cluster = MemPoolCluster(config, engine="vector")   # "batch", "compiled"
+    cluster = MemPoolCluster(config, engine="vector")
 
 or from the command line::
 
     python -m repro.evaluation fig5 --engine vector
     python -m repro.experiments run fig5 --engine batch
-    python -m repro.experiments run fig5 --engine compiled
 
 Both the open-loop traffic simulator (through
 :mod:`repro.engine.traffic`) and the execution-driven system simulator
@@ -38,23 +33,15 @@ everywhere else.
 
 from repro.core.cluster import ENGINES
 from repro.engine.batch import SimBatch, TrafficBatch
-from repro.engine.compile import CompiledNetwork, EngineCompileError, MoveTables
-from repro.engine.compiled import CompiledEngine, CompiledSimBatch
-from repro.engine.kernel import HAVE_NUMBA, JIT_ENABLED
-from repro.engine.soa import FlitTable, RingQueues
+from repro.engine.compile import CompiledNetwork, EngineCompileError
+from repro.engine.soa import FlitTable
 from repro.engine.vector import VectorEngine, VectorStageNetwork
 
 __all__ = [
     "ENGINES",
-    "HAVE_NUMBA",
-    "JIT_ENABLED",
-    "CompiledEngine",
     "CompiledNetwork",
-    "CompiledSimBatch",
     "EngineCompileError",
     "FlitTable",
-    "MoveTables",
-    "RingQueues",
     "SimBatch",
     "TrafficBatch",
     "VectorEngine",

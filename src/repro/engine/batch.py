@@ -463,7 +463,7 @@ class TrafficBatch:
             if simulation._row_queues is None:
                 raise ValueError(
                     "TrafficBatch members must be built on a SoA-engine "
-                    "cluster (engine='batch', 'vector' or 'compiled'); got "
+                    "cluster (engine='batch' or 'vector'); got "
                     f"a {simulation.cluster.engine_kind!r}-engine simulation"
                 )
             if simulation.cluster.config != config:
@@ -481,15 +481,7 @@ class TrafficBatch:
             dtype=np.int64,
         )
         self._bank_tile = np.asarray(self.compiled.tile_of_bank, dtype=np.int64)
-        # A batch of compiled-engine members runs on the kernel-backed
-        # batched engine; everything else (batch/vector members) stays on
-        # the deque-based SimBatch.  Both are flit-for-flit identical.
-        if simulations[0].cluster.engine_kind == "compiled":
-            from repro.engine.compiled import CompiledSimBatch
-
-            self.engine = CompiledSimBatch(self.compiled, len(simulations))
-        else:
-            self.engine = SimBatch(self.compiled, len(simulations))
+        self.engine = SimBatch(self.compiled, len(simulations))
 
     @staticmethod
     def _per_sim(value, count: int, name: str) -> list:

@@ -63,74 +63,6 @@ class EngineCompileError(ValueError):
     """Raised when a topology cannot be compiled for the vector engine."""
 
 
-class MoveTables:
-    """Move chains flattened into parallel ndarrays for the compiled kernel.
-
-    The array mirror of :attr:`CompiledNetwork.path_moves`: each linked
-    ``(target, arbiters, next)`` chain becomes a contiguous run of *move
-    ids*, and a move id indexes four parallel columns —
-
-    ==============  =======  ==============================================
-    column          dtype    meaning
-    ==============  =======  ==============================================
-    ``target``      int32    next stage id, :data:`BANK` or :data:`COMPLETE`
-    ``arb_start``   int32    first index of the hop's run inside ``arbs``
-    ``arb_end``     int32    one past the last index of that run
-    ``next``        int32    move id of the following hop (-1 past the end)
-    ==============  =======  ==============================================
-
-    plus the flat ``arbs`` (int32) array holding every hop's arbiter run
-    and ``path_head`` (int32) mapping a path-template id to its first move.
-    :data:`BANK` targets stay unresolved in the table; the kernels of
-    :mod:`repro.engine.kernel` resolve them against the flit's destination
-    bank on every attempt, which is equivalent to the vector engine's
-    resolve-once-per-hop because a hop's target never changes between
-    attempts.
-
-    Tables are extended **append-only** as templates are compiled lazily
-    (see :meth:`CompiledNetwork.move_tables`): existing move ids stay
-    valid forever, only the ndarray objects are replaced — engines
-    therefore re-fetch the arrays per pass instead of caching them.
-    """
-
-    def __init__(self) -> None:
-        self.num_paths = 0
-        self._path_head: list[int] = []
-        self._target: list[int] = []
-        self._arb_start: list[int] = []
-        self._arb_end: list[int] = []
-        self._next: list[int] = []
-        self._arbs: list[int] = []
-        self._refresh()
-
-    def extend(self, path_moves: list, start: int) -> None:
-        """Flatten the chains of paths ``start ..`` into the tables."""
-        for path in range(start, len(path_moves)):
-            node = path_moves[path]
-            index = len(self._target)
-            self._path_head.append(index)
-            while node is not None:
-                target, arbiters, following = node
-                self._target.append(target)
-                self._arb_start.append(len(self._arbs))
-                self._arbs.extend(arbiters)
-                self._arb_end.append(len(self._arbs))
-                index += 1
-                self._next.append(index if following is not None else -1)
-                node = following
-        self.num_paths = len(path_moves)
-        self._refresh()
-
-    def _refresh(self) -> None:
-        """Rebuild the ndarray views after an extension."""
-        self.path_head = np.asarray(self._path_head, dtype=np.int32)
-        self.target = np.asarray(self._target, dtype=np.int32)
-        self.arb_start = np.asarray(self._arb_start, dtype=np.int32)
-        self.arb_end = np.asarray(self._arb_end, dtype=np.int32)
-        self.next = np.asarray(self._next, dtype=np.int32)
-        self.arbs = np.asarray(self._arbs, dtype=np.int32)
-
-
 class CompiledNetwork:
     """Flat integer tables describing one built topology.
 
@@ -248,7 +180,6 @@ class CompiledNetwork:
         self.path_resource_len: list[int] = []
         self._template_ids: dict[tuple[int, int, bool], int] = {}
         self._template_tables: dict[bool, list[list[int]]] = {}
-        self._move_tables: MoveTables | None = None
         #: Tile of every global bank id (placeholder-resolution helper).
         self.tile_of_bank = [
             topology.config.tile_of_bank(bank)
@@ -357,23 +288,6 @@ class CompiledNetwork:
         self.path_first_stage_pos.append(first_stage_pos)
         self.path_resource_len.append(len(resources))
         return path_id
-
-    def move_tables(self) -> MoveTables:
-        """The flattened :class:`MoveTables`, extended to every compiled path.
-
-        Compiled-engine passes call this once per kernel invocation: the
-        call is a no-op attribute read while no new templates were
-        compiled, and an append-only extension (existing move ids stay
-        valid) when lazy path compilation added templates since the last
-        fetch.  Shared — like the template tables — by every engine
-        instance built on this compiled network.
-        """
-        tables = self._move_tables
-        if tables is None:
-            tables = self._move_tables = MoveTables()
-        if tables.num_paths < len(self.path_moves):
-            tables.extend(self.path_moves, tables.num_paths)
-        return tables
 
     # ------------------------------------------------------------------ #
     # Introspection

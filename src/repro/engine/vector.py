@@ -353,14 +353,9 @@ class VectorStageNetwork:
         self,
         topology: ClusterTopology,
         compiled: CompiledNetwork | None = None,
-        engine_cls: type = VectorEngine,
     ) -> None:
         self.compiled = compiled or CompiledNetwork(topology)
-        #: The SoA engine behind the facade — :class:`VectorEngine` by
-        #: default, :class:`repro.engine.compiled.CompiledEngine` when the
-        #: cluster was built with ``engine="compiled"``.  Both expose the
-        #: same per-row API, so the facade is engine-agnostic.
-        self.engine = engine_cls(self.compiled)
+        self.engine = VectorEngine(self.compiled)
         #: Rows of in-flight object flits, keyed by row id.
         self._flit_of_row: dict[int, Flit] = {}
 

@@ -63,9 +63,8 @@ def main(argv: list[str] | None = None) -> int:
         help="timing engine for the simulating experiments (default: "
              "MEMPOOL_ENGINE or 'legacy'; 'vector' is the faster "
              "structure-of-arrays engine, 'batch' additionally advances "
-             "compatible traffic points as one SimBatch, 'compiled' runs "
-             "the ring-buffer kernel engine, JIT-compiled when numba is "
-             "installed — results are identical for all four)",
+             "compatible traffic points as one SimBatch — results are "
+             "identical for all three)",
     )
     parser.add_argument(
         "--pattern", choices=available_patterns(), default=None,

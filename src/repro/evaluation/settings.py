@@ -69,14 +69,11 @@ class ExperimentSettings:
     seed: int = DEFAULT_SEED
     #: Timing-engine implementation the simulating drivers run on:
     #: ``"legacy"`` (per-object stage network), ``"vector"`` (the
-    #: structure-of-arrays engine of :mod:`repro.engine`), ``"batch"``
+    #: structure-of-arrays engine of :mod:`repro.engine`) or ``"batch"``
     #: (the vector engine plus sweep-level batching of compatible traffic
-    #: points through :class:`repro.engine.batch.SimBatch`) or
-    #: ``"compiled"`` (ring-buffer queues + the typed-array kernels of
-    #: :mod:`repro.engine.kernel`, JIT-built under Numba when the optional
-    #: ``[perf]`` extra is installed, with sweep-level batching like
-    #: ``"batch"``).  All four produce identical results for fixed seeds;
-    #: honours ``MEMPOOL_ENGINE``.
+    #: points through :class:`repro.engine.batch.SimBatch`).  All three
+    #: produce identical results for fixed seeds; honours
+    #: ``MEMPOOL_ENGINE``.
     engine: str = field(default_factory=_engine_from_environment)
     #: Destination pattern of the synthetic-traffic experiments, by
     #: workload registry name; honours ``MEMPOOL_PATTERN``.  fig6 ignores

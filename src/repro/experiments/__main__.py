@@ -124,9 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="timing engine for the simulating experiments (default: "
              "MEMPOOL_ENGINE or 'legacy'; 'vector' is the faster "
              "structure-of-arrays engine, 'batch' additionally advances "
-             "compatible traffic points as one SimBatch, 'compiled' runs "
-             "the ring-buffer kernel engine, JIT-compiled when numba is "
-             "installed — results are identical for all four)",
+             "compatible traffic points as one SimBatch — results are "
+             "identical for all three)",
     )
     run.add_argument(
         "--pattern",
@@ -296,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     worker.add_argument(
         "--host",
-        default="0.0.0.0",
-        help="bind address (default: 0.0.0.0)",
+        default="127.0.0.1",
+        help="bind address (default: 127.0.0.1; 0.0.0.0 to serve remotely)",
     )
     worker.add_argument(
         "--port",

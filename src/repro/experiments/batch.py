@@ -185,7 +185,7 @@ def spec_group_key(spec: ExperimentSpec) -> tuple | None:
     the distributed shard planner
     (:func:`repro.experiments.distributed.shards.plan_shards`) group by,
     so a shard shipped to a remote worker still gets per-shard
-    ``SimBatch``/``CompiledSimBatch`` packing.
+    ``SimBatch`` packing.
     """
     adapter = BATCHABLE_RUNNERS.get(spec.runner)
     if adapter is None:
@@ -304,9 +304,7 @@ class BatchRunner:
         first = spec_list[indices[0]]
         adapter = BATCHABLE_RUNNERS[first.runner]
         # The group inherits the sweep's engine (every spec of a run
-        # carries the same one): "batch" members run the deque-based
-        # SimBatch, "compiled" members the kernel-backed CompiledSimBatch —
-        # TrafficBatch picks the batched engine off the cluster kind.
+        # carries the same one).
         engine = first.params.get("engine", "batch")
         settings = ExperimentSettings(
             full_scale=bool(first.params.get("full_scale", False)), engine=engine

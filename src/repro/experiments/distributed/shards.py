@@ -5,9 +5,8 @@ worker: a set of indices into the dispatcher's spec list.  Shards are cut
 along :func:`repro.experiments.batch.spec_group_key` boundaries, so every
 spec inside a shard shares a compiled network and cycle loop and the
 worker can still run the whole shard as one
-:class:`repro.engine.batch.SimBatch` / ``CompiledSimBatch`` — sharding
-never gives up the batching speedup, it only bounds how much of a group
-travels together.
+:class:`repro.engine.batch.SimBatch` — sharding never gives up the
+batching speedup, it only bounds how much of a group travels together.
 
 Groups larger than ``max_points`` are chopped into consecutive chunks
 (each chunk still packs internally); unbatchable specs become singleton

@@ -13,7 +13,7 @@ Shard execution reuses the exact single-host stack: a serial
 :class:`~repro.experiments.batch.BatchRunner` when the shard's specs run
 a batching engine — the shard planner cut shards along batch-group
 boundaries precisely so each shard still packs into one
-:class:`repro.engine.batch.SimBatch`/``CompiledSimBatch``.  Results are
+:class:`repro.engine.batch.SimBatch`.  Results are
 therefore flit-for-flit identical to a serial run, and they land under
 the same content-addressed spec keys.
 
@@ -52,7 +52,7 @@ from repro.experiments.spec import ExperimentSpec
 
 #: Engines whose specs profit from sweep-level SimBatch packing; mirrors
 #: the dispatch in :meth:`repro.experiments.registry.ExperimentDefinition.run`.
-BATCHING_ENGINES = ("batch", "compiled")
+BATCHING_ENGINES = ("batch",)
 
 
 def run_shard_specs(
@@ -205,8 +205,11 @@ class WorkerServer:
     Parameters
     ----------
     host, port : str, int
-        Bind address.  ``port=0`` picks an ephemeral port, published in
-        :attr:`port` (and printed by the CLI) for the dispatcher.
+        Bind address.  Loopback by default — the shard transport is
+        unauthenticated pickle, so pass ``"0.0.0.0"`` only to serve remote
+        dispatchers on a trusted network.  ``port=0`` picks an ephemeral
+        port, published in :attr:`port` (and printed by the CLI) for the
+        dispatcher.
     cache_spec : str, optional
         Worker-side cache (see :func:`parse_cache_spec`); ``None`` makes
         workers adopt the dispatcher's shared cache server.
@@ -216,7 +219,7 @@ class WorkerServer:
 
     def __init__(
         self,
-        host: str = "0.0.0.0",
+        host: str = "127.0.0.1",
         port: int = DEFAULT_PORT,
         cache_spec: str | None = None,
         heartbeat_s: float = 1.0,

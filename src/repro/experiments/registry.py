@@ -62,12 +62,11 @@ class ExperimentDefinition:
     def run(self, settings: ExperimentSettings, executor: Executor) -> Any:
         """Expand the sweep, run it on ``executor`` and assemble the result.
 
-        With ``settings.engine == "batch"`` (or ``"compiled"``, whose
-        batched variant runs the typed-array kernels) the executor is
-        fronted by a :class:`~repro.experiments.batch.BatchRunner`, which
-        advances compatible traffic points of the sweep as one batched
-        engine group and leaves every other point (and the cache protocol)
-        with the plain executor.  Executors that batch internally —
+        With ``settings.engine == "batch"`` the executor is fronted by a
+        :class:`~repro.experiments.batch.BatchRunner`, which advances
+        compatible traffic points of the sweep as one batched engine group
+        and leaves every other point (and the cache protocol) with the
+        plain executor.  Executors that batch internally —
         :class:`repro.experiments.distributed.DistributedExecutor` cuts
         its shards along the same batch-group boundaries and packs them
         worker-side — declare ``handles_batching`` and are never wrapped.
@@ -83,7 +82,7 @@ class ExperimentDefinition:
         specs = self.build_sweep(settings).specs()
         if getattr(executor, "handles_batching", False):
             results = executor.run(specs)
-        elif settings.engine in ("batch", "compiled"):
+        elif settings.engine == "batch":
             from repro.experiments.batch import BatchRunner
 
             runner = BatchRunner(executor)

@@ -166,8 +166,7 @@ class TrafficSimulation:
         #: same backlog on every engine.
         self._row_queues: list[deque] | None = (
             [deque() for _ in range(cluster.config.num_cores)]
-            if getattr(cluster, "engine_kind", "legacy")
-            in ("vector", "batch", "compiled")
+            if getattr(cluster, "engine_kind", "legacy") in ("vector", "batch")
             else None
         )
         #: Single-member batch context of the ``batch`` engine, built
@@ -226,17 +225,14 @@ class TrafficSimulation:
         On a cluster built with ``engine="vector"`` the whole loop runs on
         the structure-of-arrays engine (:mod:`repro.engine.traffic`) — same
         random streams, flit-for-flit identical results, several times
-        faster.  ``engine="compiled"`` runs the same loop over the
-        ring-buffer kernel engine (:mod:`repro.engine.compiled`, JIT-built
-        when numba is installed).  ``engine="batch"`` runs the same loop as
-        a single-member :class:`~repro.engine.batch.TrafficBatch` (whole
-        sweeps batch their members through
-        :class:`~repro.experiments.batch.BatchRunner`).  ``record_flits``
-        attaches the per-flit completion log to the result (see
-        :attr:`TrafficResult.flit_log`).
+        faster.  ``engine="batch"`` runs the same loop as a single-member
+        :class:`~repro.engine.batch.TrafficBatch` (whole sweeps batch their
+        members through :class:`~repro.experiments.batch.BatchRunner`).
+        ``record_flits`` attaches the per-flit completion log to the result
+        (see :attr:`TrafficResult.flit_log`).
         """
         engine_kind = getattr(self.cluster, "engine_kind", "legacy")
-        if engine_kind in ("vector", "compiled"):
+        if engine_kind == "vector":
             from repro.engine.traffic import run_vector_traffic
 
             return run_vector_traffic(

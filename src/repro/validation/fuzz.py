@@ -47,7 +47,7 @@ from repro.workloads.registry import (
 )
 
 #: Engines every sampled configuration is cross-checked on.
-ENGINES_CHECKED = ("legacy", "vector", "batch", "compiled")
+ENGINES_CHECKED = ("legacy", "vector", "batch")
 
 #: Scalar result fields compared across engines (the flit log is compared
 #: separately and first — it implies most of these, but a field-level

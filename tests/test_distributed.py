@@ -9,7 +9,6 @@ serial executor as much as on unit-level checks of the moving parts.
 from __future__ import annotations
 
 import logging
-import multiprocessing
 import pickle
 import socket
 import threading
@@ -659,6 +658,18 @@ class TestDistributedCLI:
         )
         assert code == 1
         assert "--workers" in capsys.readouterr().out
+
+    def test_worker_listener_binds_loopback_by_default(self):
+        # The shard transport is unauthenticated pickle: serving remote
+        # dispatchers must be an explicit --host 0.0.0.0.
+        from repro.experiments.__main__ import build_parser
+
+        server = WorkerServer(port=0)
+        try:
+            assert server.host == "127.0.0.1"
+        finally:
+            server.stop()
+        assert build_parser().parse_args(["worker"]).host == "127.0.0.1"
 
     def test_worker_command_rejects_bad_cache_spec(self, capsys):
         from repro.experiments.__main__ import main

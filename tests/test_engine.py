@@ -8,18 +8,14 @@ engine selector on the cluster.
 
 from __future__ import annotations
 
-from collections import deque
-
 import pytest
 
 from repro.core.cluster import MemPoolCluster
 from repro.core.config import MemPoolConfig
 from repro.engine import (
     CompiledNetwork,
-    CompiledSimBatch,
     EngineCompileError,
     FlitTable,
-    RingQueues,
     VectorStageNetwork,
 )
 from repro.engine.compile import BANK, COMPLETE
@@ -107,131 +103,6 @@ class TestFlitTable:
             FlitTable(capacity=0)
 
 
-class TestRingQueues:
-    """Invariants of the fixed-capacity ring buffers behind ``compiled``."""
-
-    def test_fifo_order_across_wraparound(self):
-        rings = RingQueues([3])
-        popped = []
-        for row in range(10):  # 10 pushes through a capacity-3 ring
-            rings.push(0, row)
-            if rings.length(0) == 3:
-                popped.append(rings.pop(0))
-        while rings.length(0):
-            popped.append(rings.pop(0))
-        assert popped == list(range(10))
-
-    def test_push_when_full_raises(self):
-        rings = RingQueues([2])
-        rings.push(0, 1)
-        rings.push(0, 2)
-        with pytest.raises(IndexError, match="full"):
-            rings.push(0, 3)
-        # The failed push must not corrupt the ring.
-        assert rings.rows(0) == [1, 2]
-
-    def test_pop_and_peek_when_empty_raise(self):
-        rings = RingQueues([2])
-        with pytest.raises(IndexError, match="empty"):
-            rings.pop(0)
-        with pytest.raises(IndexError, match="empty"):
-            rings.peek(0)
-        rings.push(0, 7)
-        assert rings.peek(0) == 7
-        assert rings.length(0) == 1  # peek must not consume
-
-    def test_rows_reports_fifo_order_after_wrap(self):
-        rings = RingQueues([3])
-        rings.push(0, 1)
-        rings.push(0, 2)
-        rings.pop(0)
-        rings.push(0, 3)
-        rings.push(0, 4)  # tail physically wraps to the buffer start
-        assert rings.rows(0) == [2, 3, 4]
-
-    def test_queues_are_independent(self):
-        rings = RingQueues([2, 3, 1])
-        rings.push(0, 10)
-        rings.push(1, 20)
-        rings.push(2, 30)
-        assert rings.pop(1) == 20
-        assert rings.rows(0) == [10]
-        assert rings.rows(2) == [30]
-
-    def test_copies_replicate_the_capacity_vector(self):
-        rings = RingQueues([2, 4], copies=3)
-        assert rings.num_queues == 6
-        assert rings.capacity.tolist() == [2, 4] * 3
-        # Slot sim * N + stage: sim 2's copy of stage 0 is slot 4.
-        rings.push(4, 99)
-        assert rings.rows(4) == [99]
-        assert all(rings.length(q) == 0 for q in (0, 1, 2, 3, 5))
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError, match="positive"):
-            RingQueues([2], copies=0)
-        with pytest.raises(ValueError, match="capacity"):
-            RingQueues([2, 0])
-
-
-class TestCompiledSimBatchRetireResume:
-    """Retire/resume must freeze and faithfully restore a member sim."""
-
-    def _batch(self, toph_config, num_sims=2):
-        topology = MemPoolCluster(toph_config).topology
-        return CompiledSimBatch(CompiledNetwork(topology), num_sims)
-
-    def _seed_flit(self, batch, sim, cycle=0):
-        rows = batch.new_rows(sim, [0], [5], cycle=cycle)
-        queue = deque([rows[0]])
-        injected = batch.inject_rows(sim, [queue], [0], cycle)
-        assert injected == 1
-        return rows[0]
-
-    def test_retire_freezes_and_resume_restores_occupancy(self, toph_config):
-        batch = self._batch(toph_config)
-        self._seed_flit(batch, 0)
-        self._seed_flit(batch, 1)
-        assert batch.total_in_flight == 2
-        batch.retire(0)
-        base = 0 * batch.num_stages
-        assert not batch.occupied[base : base + batch.num_stages].any()
-        assert batch.total_in_flight == 1
-        # The frozen sim's flits stay buffered while the other advances.
-        frozen = batch.occupancy(0)
-        for cycle in range(1, 100):
-            batch.advance(cycle)
-            if not batch.in_flight[1]:
-                break
-        assert batch.occupancy(0) == frozen
-        assert not batch.completed_log[0]
-        assert batch.completed_log[1]
-        # Resume rebuilds the occupancy slice from the ring fill levels.
-        batch.resume(0)
-        occupied = batch.occupied[base : base + batch.num_stages]
-        assert occupied.tolist() == (
-            batch.rings.size[base : base + batch.num_stages] > 0
-        ).tolist()
-        for cycle in range(100, 200):
-            batch.advance(cycle)
-            if not batch.in_flight[0]:
-                break
-        assert batch.completed_log[0]
-        assert batch.total_in_flight == 0
-
-    def test_retire_and_resume_are_idempotent(self, toph_config):
-        batch = self._batch(toph_config)
-        self._seed_flit(batch, 0)
-        batch.resume(0)  # resuming a live sim is a no-op
-        assert batch.total_in_flight == 2 - 1
-        batch.retire(0)
-        batch.retire(0)
-        assert batch.total_in_flight == 0
-        batch.resume(0)
-        batch.resume(0)
-        assert batch.total_in_flight == 1
-
-
 class TestVectorStageNetwork:
     def test_double_injection_is_rejected(self, toph_config):
         cluster = MemPoolCluster(toph_config, engine="vector")
@@ -284,8 +155,10 @@ class TestVectorStageNetwork:
 
 class TestClusterEngineSelection:
     def test_unknown_engine_rejected(self, toph_config):
-        with pytest.raises(ValueError, match="unknown engine"):
-            MemPoolCluster(toph_config, engine="warp")
+        # "compiled" is a retired engine name: it must fail like any typo.
+        for engine in ("warp", "compiled"):
+            with pytest.raises(ValueError, match="unknown engine"):
+                MemPoolCluster(toph_config, engine=engine)
 
     def test_legacy_is_the_default(self, toph_config):
         cluster = MemPoolCluster(toph_config)

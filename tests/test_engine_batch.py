@@ -197,8 +197,9 @@ def test_batch_engine_is_registered():
 
     assert "batch" in ENGINES
     assert ExperimentSettings(engine="batch").engine == "batch"
-    with pytest.raises(ValueError, match="unknown engine"):
-        ExperimentSettings(engine="simbatch")
+    for engine in ("simbatch", "compiled"):
+        with pytest.raises(ValueError, match="unknown engine"):
+            ExperimentSettings(engine=engine)
 
 
 class TestBatchRunner:

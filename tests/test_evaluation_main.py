@@ -108,6 +108,8 @@ def test_bogus_engine_environment_fails_fast(monkeypatch):
 
     from repro.evaluation.settings import ExperimentSettings
 
-    monkeypatch.setenv("MEMPOOL_ENGINE", "Vector")
-    with pytest.raises(ValueError, match="unknown engine"):
-        ExperimentSettings()
+    # "compiled" is a retired engine name: stale settings must fail fast.
+    for value in ("Vector", "compiled"):
+        monkeypatch.setenv("MEMPOOL_ENGINE", value)
+        with pytest.raises(ValueError, match="unknown engine"):
+            ExperimentSettings()

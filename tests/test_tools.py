@@ -10,7 +10,10 @@ the exit codes of both tools.
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -86,63 +89,6 @@ class TestBatchReport:
             {"batch": {"speedup": 2.0}}, baseline, 0.2
         )
         assert ok  # floor is 2.4 * 0.8 = 1.92
-
-
-class TestCompiledReport:
-    """The compiled-kernel section of the report (jit-mode-aware gate)."""
-
-    def test_absent_section_is_none(self):
-        assert bench_report.compiled_report(_engine_payload(3.0), None, 0.2) is None
-
-    def test_no_baseline_is_informational(self):
-        current = {"compiled": {"speedup_vs_vector": 0.6, "jit": False}}
-        ok, report = bench_report.compiled_report(current, _engine_payload(3.0), 0.2)
-        assert ok
-        assert "informational" in report
-        assert "pure-Python" in report
-
-    def test_gated_against_same_jit_mode(self):
-        baseline = {"compiled": {"speedup_vs_vector": 12.0, "jit": True}}
-        ok, report = bench_report.compiled_report(
-            {"compiled": {"speedup_vs_vector": 8.0, "jit": True}}, baseline, 0.2
-        )
-        assert not ok  # floor is 12.0 * 0.8 = 9.6
-        assert "REGRESSION" in report
-        ok, _ = bench_report.compiled_report(
-            {"compiled": {"speedup_vs_vector": 9.7, "jit": True}}, baseline, 0.2
-        )
-        assert ok
-
-    def test_jit_mode_mismatch_is_never_gated(self):
-        # A pure-Python fallback run must not be compared to a JIT baseline
-        # (or vice versa): the ratio difference is the backend, not a
-        # regression.
-        baseline = {"compiled": {"speedup_vs_vector": 12.0, "jit": True}}
-        ok, report = bench_report.compiled_report(
-            {"compiled": {"speedup_vs_vector": 0.5, "jit": False}}, baseline, 0.2
-        )
-        assert ok
-        assert "not comparable" in report
-        flipped = {"compiled": {"speedup_vs_vector": 0.5, "jit": False}}
-        ok, report = bench_report.compiled_report(
-            {"compiled": {"speedup_vs_vector": 12.0, "jit": True}}, flipped, 0.2
-        )
-        assert ok
-        assert "not comparable" in report
-
-    def test_compiled_regression_alone_exits_one(self, tmp_path):
-        current = _engine_payload(3.0)
-        current["compiled"] = {"speedup_vs_vector": 5.0, "jit": True}
-        baseline = _engine_payload(3.0)
-        baseline["compiled"] = {"speedup_vs_vector": 12.0, "jit": True}
-        current_path = tmp_path / "current.json"
-        baseline_path = tmp_path / "baseline.json"
-        current_path.write_text(json.dumps(current))
-        baseline_path.write_text(json.dumps(baseline))
-        code = bench_report.main(
-            ["--current", str(current_path), "--baseline", str(baseline_path)]
-        )
-        assert code == 1
 
 
 def _distributed_payload(speedup, cpus=4):
@@ -249,6 +195,36 @@ class TestTopologiesReport:
         ok, report = bench_report.topologies_report(current, baseline, 0.2)
         assert ok
         assert "sweep" in report
+
+
+def test_default_snapshot_destination_is_gitignored():
+    """Benchmarks and report share a default destination the tree ignores.
+
+    A plain tier-1 run (``BENCH_OUT_DIR`` unset) must leave ``git status``
+    clean, so the default cannot be the committed ``benchmarks/`` files.
+    """
+    repo = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "benchmarks_conftest", repo / "benchmarks" / "conftest.py"
+    )
+    conftest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(conftest)
+    default = conftest.DEFAULT_BENCH_OUT_DIR
+    assert default == bench_report.DEFAULT_OUT_DIR
+    assert default != bench_report.BENCH_DIR
+    if shutil.which("git") is None:
+        pytest.skip("git is not installed")
+    inside = subprocess.run(
+        ["git", "rev-parse", "--is-inside-work-tree"],
+        cwd=repo, capture_output=True, text=True,
+    )
+    if inside.returncode != 0:
+        pytest.skip("not a git checkout")
+    for name in ("BENCH_engine.json", "BENCH_experiments.json"):
+        ignored = subprocess.run(
+            ["git", "check-ignore", "-q", str(default / name)], cwd=repo
+        )
+        assert ignored.returncode == 0, f"{default / name} is not gitignored"
 
 
 class TestBenchReportMain:

@@ -1,13 +1,16 @@
 #!/usr/bin/env python
 """Diff the current engine benchmarks against the committed baseline.
 
-``benchmarks/test_perf_engine.py`` writes ``benchmarks/BENCH_engine.json``
-with the measured legacy-vs-vector transport speedup, and
+``benchmarks/test_perf_engine.py`` writes ``BENCH_engine.json`` with the
+measured legacy-vs-vector transport speedup, and
 ``benchmarks/test_perf_batch.py`` merges the SimBatch-vs-sequential sweep
 speedup into the same file; ``benchmarks/BENCH_engine.baseline.json`` is
-the committed reference.  This tool compares the two and fails (exit code
-1) when either measured *speedup* regressed by more than the threshold
-(default 20 %).
+the committed reference.  Current results are read from ``BENCH_OUT_DIR``
+— the gitignored ``benchmarks/_out/`` when unset, where the benchmarks
+write by default — so ``BENCH_OUT_DIR=benchmarks`` reports on the
+committed snapshots instead.  This tool compares the two and fails (exit
+code 1) when either measured *speedup* regressed by more than the
+threshold (default 20 %).
 
 The comparison is on the speedup ratio, not on raw cycles/sec: absolute
 throughput varies with the host machine, but the legacy engine runs on the
@@ -31,10 +34,12 @@ import sys
 from pathlib import Path
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
-#: Current results follow ``BENCH_OUT_DIR`` (where the benchmark modules
-#: write when the variable is set, keeping local re-runs out of the
-#: committed snapshots); baselines always come from the committed tree.
-CURRENT_DIR = Path(os.environ.get("BENCH_OUT_DIR") or BENCH_DIR)
+#: Where the benchmark modules write when ``BENCH_OUT_DIR`` is unset
+#: (``benchmarks/conftest.py``); gitignored, so test runs leave the tree clean.
+DEFAULT_OUT_DIR = BENCH_DIR / "_out"
+#: Current results follow ``BENCH_OUT_DIR`` like the benchmark modules do;
+#: baselines always come from the committed tree.
+CURRENT_DIR = Path(os.environ.get("BENCH_OUT_DIR") or DEFAULT_OUT_DIR)
 DEFAULT_CURRENT = CURRENT_DIR / "BENCH_engine.json"
 DEFAULT_BASELINE = BENCH_DIR / "BENCH_engine.baseline.json"
 EXPERIMENTS_CURRENT = CURRENT_DIR / "BENCH_experiments.json"
@@ -123,59 +128,6 @@ def batch_report(
     return ok, "\n".join(lines)
 
 
-def compiled_report(
-    current: dict, baseline: dict | None, threshold: float
-) -> tuple[bool, str] | None:
-    """Compiled-kernel-vs-vector report and gate, or None when never run.
-
-    ``benchmarks/test_perf_engine.py`` merges a ``"compiled"`` section into
-    the current results file with the compiled engine's advance speedup
-    over the vector engine and a ``jit`` flag recording whether the numba
-    backend was active.  The gate is **jit-mode aware**: the speedup ratio
-    is only compared against the committed baseline when both runs used
-    the same kernel backend — a pure-Python fallback run (numba absent or
-    ``MEMPOOL_JIT=0``) is legitimately far slower than a JIT run and must
-    never be gated against a JIT baseline, or vice versa.
-    """
-    section = current.get("compiled")
-    if not section:
-        return None
-    speedup = section.get("speedup_vs_vector", 0.0)
-    jit = bool(section.get("jit"))
-    mode = "numba JIT" if jit else "pure-Python kernels"
-    lines = [
-        f"compiled benchmark: {section.get('benchmark', 'kernel engine')}",
-        f"  advance speedup : {speedup:.2f}x over vector ({mode})",
-    ]
-    ok = True
-    base_section = (baseline or {}).get("compiled")
-    if base_section and base_section.get("speedup_vs_vector") is not None:
-        if bool(base_section.get("jit")) != jit:
-            base_mode = "numba JIT" if base_section.get("jit") else "pure-Python"
-            lines.append(
-                f"  verdict         : jit mode differs from baseline "
-                f"({base_mode}) — not comparable, informational"
-            )
-        else:
-            base_speedup = base_section["speedup_vs_vector"]
-            floor = base_speedup * (1.0 - threshold)
-            ok = speedup >= floor
-            lines.append(
-                "  verdict         : "
-                + (
-                    f"OK (baseline {base_speedup:.2f}x, floor {floor:.2f}x)"
-                    if ok
-                    else f"REGRESSION (> {threshold:.0%} below baseline "
-                    f"{base_speedup:.2f}x)"
-                )
-            )
-    else:
-        lines.append(
-            "  verdict         : no committed compiled baseline (informational)"
-        )
-    return ok, "\n".join(lines)
-
-
 def topologies_report(
     current: dict, baseline: dict | None, threshold: float
 ) -> tuple[bool, str] | None:
@@ -225,10 +177,9 @@ def distributed_report(
     """Distributed-scaling report and gate, or None when never benchmarked.
 
     ``benchmarks/test_perf_distributed.py`` writes a ``"distributed"``
-    section into ``benchmarks/BENCH_experiments.json`` with the
-    4-local-workers-vs-1 wall-clock ratio of a cold-cache sweep and the
-    core count it was measured on.  The gate is **cpu-aware** (the same
-    pattern as the jit-aware compiled gate): parallel speedup is bounded
+    section into ``BENCH_experiments.json`` with the 4-local-workers-vs-1
+    wall-clock ratio of a cold-cache sweep and the core count it was
+    measured on.  The gate is **cpu-aware**: parallel speedup is bounded
     by the host's core count, so the ratio is only compared against the
     committed baseline when both runs had the same number of cpus — a
     1-core smoke container legitimately measures ~1x and must never be
@@ -377,11 +328,6 @@ def main(argv: list[str] | None = None) -> int:
     if batch:
         batch_ok, report = batch
         ok = ok and batch_ok
-        print(report)
-    compiled = compiled_report(current, baseline, args.threshold)
-    if compiled:
-        compiled_ok, report = compiled
-        ok = ok and compiled_ok
         print(report)
     topologies = topologies_report(current, baseline, args.threshold)
     if topologies:
