@@ -4,10 +4,10 @@
 #   make ci         the full CI gate: tests + docs-lint + enforced bench report
 #   make coverage   tier-1 suite under pytest-cov with an enforced threshold
 #   make bench      benchmark harness (regenerates every figure/table)
-#   make bench-engine  engine + batch + topology benchmarks + enforced report
+#   make bench-engine  engine + workload + topology benchmarks + enforced report
 #   make distributed-smoke  distributed executor vs serial: identity + crash recovery
 #   make service-smoke  HTTP sweep service end to end: submit/stream/fetch vs direct run
-#   make fuzz       bounded differential fuzz of the three engines
+#   make fuzz       bounded differential fuzz of the two engines
 #   make validate   statistical golden-band validation (repro.validation)
 #   make validate-update  re-measure and re-commit the golden bands
 #   make lint       ruff (pyproject.toml config) when available, else docs-lint
@@ -69,8 +69,7 @@ bench:
 # refresh the committed ones deliberately: BENCH_OUT_DIR=benchmarks make bench-engine
 bench-engine:
 	$(PYTHON) -m pytest -q benchmarks/test_perf_engine.py \
-		benchmarks/test_perf_batch.py benchmarks/test_perf_workloads.py \
-		benchmarks/test_perf_topologies.py \
+		benchmarks/test_perf_workloads.py benchmarks/test_perf_topologies.py \
 		benchmarks/test_perf_distributed.py
 	$(PYTHON) tools/bench_report.py
 
@@ -94,7 +93,7 @@ service-smoke:
 	$(PYTHON) tools/service_smoke.py
 
 # Property-based differential fuzzing: FUZZ_BUDGET configurations sampled
-# from the registries' whole space, each run on all three engines and
+# from the registries' whole space, each run on both engines and
 # compared flit for flit.  Failures shrink and print a one-line
 # `python -m repro.validation --replay '<spec>'` reproducer.
 fuzz:

@@ -38,14 +38,11 @@ class Tile:
 
 
 #: Timing-engine implementations selectable per cluster: the per-object
-#: ``StageNetwork`` ("legacy"), the structure-of-arrays vector engine of
-#: :mod:`repro.engine` ("vector"), or the batched multi-simulation engine
-#: ("batch", :mod:`repro.engine.batch`) that additionally advances many
-#: compatible open-loop traffic simulations in one flattened state.
-#: All three are cycle-exact for fixed seeds.  This tuple is the single
-#: source of truth — the engine package and
+#: ``StageNetwork`` ("legacy") or the structure-of-arrays vector engine of
+#: :mod:`repro.engine` ("vector").  Both are cycle-exact for fixed seeds.
+#: This tuple is the single source of truth — the engine package and
 #: :class:`repro.evaluation.settings.ExperimentSettings` re-use it.
-ENGINES = ("legacy", "vector", "batch")
+ENGINES = ("legacy", "vector")
 
 
 class MemPoolCluster:
@@ -76,7 +73,6 @@ class MemPoolCluster:
         self.tiles = self._build_tiles()
         self._next_flit_id = 0
         self._vector_network = None
-        self._compiled_network = None
 
     # ------------------------------------------------------------------ #
     # Structure
@@ -108,34 +104,14 @@ class MemPoolCluster:
         :class:`~repro.engine.vector.VectorStageNetwork` facade over the
         structure-of-arrays engine, built lazily on first access.  Both
         expose the same ``advance`` / ``try_inject`` / ``drain`` interface.
-        ``engine="batch"`` batches at the *simulation* level (the open-loop
-        traffic driver goes through :class:`repro.engine.batch.TrafficBatch`
-        and never touches this property); object-model callers such as the
-        execution-driven simulator get the vector facade, so results stay
-        identical whichever engine name selected them.
         """
-        if self.engine_kind in ("vector", "batch"):
+        if self.engine_kind == "vector":
             if self._vector_network is None:
                 from repro.engine import VectorStageNetwork
 
-                self._vector_network = VectorStageNetwork(
-                    self.topology, compiled=self.compiled_network()
-                )
+                self._vector_network = VectorStageNetwork(self.topology)
             return self._vector_network
         return self.topology.network
-
-    def compiled_network(self):
-        """This cluster's topology compiled for the SoA engines (cached).
-
-        The :class:`~repro.engine.compile.CompiledNetwork` is shared by the
-        vector facade and the batched traffic driver, so a cluster never
-        compiles its path tables twice.
-        """
-        if self._compiled_network is None:
-            from repro.engine import CompiledNetwork
-
-            self._compiled_network = CompiledNetwork(self.topology)
-        return self._compiled_network
 
     def tile_of_core(self, core_id: int) -> Tile:
         return self.tiles[self.config.tile_of_core(core_id)]

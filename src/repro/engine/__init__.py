@@ -8,31 +8,23 @@ a row across preallocated NumPy columns (:mod:`repro.engine.soa`), and
 advances all of them with level-ordered passes over dense lists
 (:mod:`repro.engine.vector`) — several times faster than the per-object
 legacy engine, and cycle-exact with it for fixed seeds.
-:mod:`repro.engine.batch` stacks a *sim axis* on top: one
-:class:`~repro.engine.batch.SimBatch` advances many independent
-simulations (a whole load sweep) in one flattened state, amortising the
-per-point Python overhead while staying flit-for-flit identical to
-per-sim runs.
 
-Select an engine per cluster (``"legacy"``, ``"vector"`` or ``"batch"``)::
+Select an engine per cluster (``"legacy"`` or ``"vector"``)::
 
     cluster = MemPoolCluster(config, engine="vector")
 
 or from the command line::
 
     python -m repro.evaluation fig5 --engine vector
-    python -m repro.experiments run fig5 --engine batch
+    python -m repro.experiments run fig5 --engine vector
 
 Both the open-loop traffic simulator (through
 :mod:`repro.engine.traffic`) and the execution-driven system simulator
 (through :class:`~repro.engine.vector.VectorStageNetwork`, a drop-in
-``StageNetwork`` facade) run on it unchanged; ``engine="batch"`` batches
-the open-loop traffic sweeps and falls back to the vector facade
-everywhere else.
+``StageNetwork`` facade) run on it unchanged.
 """
 
 from repro.core.cluster import ENGINES
-from repro.engine.batch import SimBatch, TrafficBatch
 from repro.engine.compile import CompiledNetwork, EngineCompileError
 from repro.engine.soa import FlitTable
 from repro.engine.vector import VectorEngine, VectorStageNetwork
@@ -42,8 +34,6 @@ __all__ = [
     "CompiledNetwork",
     "EngineCompileError",
     "FlitTable",
-    "SimBatch",
-    "TrafficBatch",
     "VectorEngine",
     "VectorStageNetwork",
 ]

@@ -211,10 +211,8 @@ class CompiledNetwork:
         Returns a list with one slot per core, lazily filled by
         :meth:`template_row`: a core's row is compiled in one go the first
         time any flit of that core needs it, so hot loops resolve a
-        template with two list reads instead of a dictionary lookup — and
-        a batch of simulations sharing this compiled network
-        (:class:`repro.engine.batch.SimBatch`) pays each compilation once
-        instead of once per simulation.  Cached per direction.
+        template with two list reads instead of a dictionary lookup.
+        Cached per direction.
         """
         table = self._template_tables.get(needs_response)
         if table is None:

@@ -112,43 +112,6 @@ class FlitTable:
         self.path_id.append(path_id)
         return row
 
-    def allocate_batch(
-        self,
-        core_ids: list,
-        bank_ids: list,
-        path_ids: list,
-        is_write: bool,
-        cycle: int,
-    ) -> range:
-        """Append one row per entry of the parallel columns; return the row range.
-
-        The batched sibling of :meth:`allocate` used by the SimBatch traffic
-        driver (:mod:`repro.engine.batch`): one capacity check and five
-        ``list.extend`` calls allocate a whole cycle's arrivals, instead of
-        per-flit method calls.  Rows are numbered exactly as ``len(core_ids)``
-        sequential :meth:`allocate` calls would number them, which is what
-        keeps batched runs flit-for-flit identical to per-sim runs.
-
-        Examples
-        --------
-        >>> table = FlitTable(capacity=2)
-        >>> table.allocate_batch([1, 2, 3], [7, 8, 9], [0, 1, 2], False, cycle=4)
-        range(0, 3)
-        >>> table.count, table.capacity >= 3
-        (3, True)
-        """
-        start = self.count
-        count = start + len(core_ids)
-        while count > self.capacity:
-            self._grow()
-        self.count = count
-        self.core.extend(core_ids)
-        self.bank.extend(bank_ids)
-        self.created.extend([cycle] * len(core_ids))
-        self.write_flag.extend([is_write] * len(core_ids))
-        self.path_id.extend(path_ids)
-        return range(start, count)
-
     def sync(self) -> None:
         """Bulk-copy buffered creation columns into their NumPy arrays."""
         start, count = self._synced, self.count

@@ -62,9 +62,9 @@ from repro.interconnect.topology import ClusterTopology
 class VectorEngine:
     """Cycle engine advancing flit rows through compiled move chains."""
 
-    def __init__(self, compiled: CompiledNetwork, flits: FlitTable | None = None) -> None:
+    def __init__(self, compiled: CompiledNetwork) -> None:
         self.compiled = compiled
-        self.flits = flits or FlitTable()
+        self.flits = FlitTable()
         num_stages = compiled.num_stages
         #: Per-stage FIFO of buffered flit rows.
         self.queues: list[deque[int]] = [deque() for _ in range(num_stages)]
@@ -194,19 +194,8 @@ class VectorEngine:
                 completed.append(row)
         return completed
 
-    def try_inject(self, row: int, cycle: int) -> bool:
-        """Try to move ``row`` from its core into the first register stage.
-
-        Mirrors :meth:`StageNetwork.try_inject`: called after
-        :meth:`advance` so a slot freed this cycle can receive the new flit,
-        while the one-accept-per-cycle rule keeps it from moving twice.
-        """
-        if self.flits.injected_cycle[row] != -1:
-            raise ValueError("flit was already injected")
-        return self._inject(row, cycle)
-
     def _inject(self, row: int, cycle: int) -> bool:
-        """Injection hop shared by :meth:`try_inject` and :meth:`inject_queues`."""
+        """Injection hop of one already-allocated row (see :meth:`inject_queues`)."""
         flits = self.flits
         compiled = self.compiled
         target, arbiters, following = self._next_move[row]
@@ -325,19 +314,6 @@ class VectorEngine:
         """Total number of flit rows buffered in register stages."""
         return sum(len(queue) for queue in self.queues)
 
-    def drain(self, max_cycles: int, start_cycle: int) -> int:
-        """Advance until the network is empty; return the cycle reached."""
-        cycle = start_cycle
-        while self.in_flight > 0:
-            if cycle - start_cycle > max_cycles:
-                raise RuntimeError(
-                    f"network failed to drain within {max_cycles} cycles "
-                    f"({self.in_flight} flits in flight)"
-                )
-            self.advance(cycle)
-            cycle += 1
-        return cycle
-
 
 class VectorStageNetwork:
     """Drop-in ``StageNetwork`` facade running on the vector engine.
@@ -349,12 +325,8 @@ class VectorStageNetwork:
     moment they matter (injection and completion).
     """
 
-    def __init__(
-        self,
-        topology: ClusterTopology,
-        compiled: CompiledNetwork | None = None,
-    ) -> None:
-        self.compiled = compiled or CompiledNetwork(topology)
+    def __init__(self, topology: ClusterTopology) -> None:
+        self.compiled = CompiledNetwork(topology)
         self.engine = VectorEngine(self.compiled)
         #: Rows of in-flight object flits, keyed by row id.
         self._flit_of_row: dict[int, Flit] = {}

@@ -62,9 +62,8 @@ def main(argv: list[str] | None = None) -> int:
         "--engine", choices=ENGINES, default=None,
         help="timing engine for the simulating experiments (default: "
              "MEMPOOL_ENGINE or 'legacy'; 'vector' is the faster "
-             "structure-of-arrays engine, 'batch' additionally advances "
-             "compatible traffic points as one SimBatch — results are "
-             "identical for all three)",
+             "structure-of-arrays engine — results are identical for "
+             "both)",
     )
     parser.add_argument(
         "--pattern", choices=available_patterns(), default=None,

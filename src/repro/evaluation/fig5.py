@@ -118,10 +118,8 @@ def simulate_fig5_point(
     seed : int
         Seed of the traffic generator.
     engine : str
-        Timing engine (``legacy``, ``vector`` or ``batch``); all produce
-        identical results for fixed seeds, ``vector`` is several times
-        faster and ``batch`` additionally lets the sweep engine advance
-        compatible points together (:mod:`repro.experiments.batch`).
+        Timing engine (``legacy`` or ``vector``); both produce identical
+        results for fixed seeds, ``vector`` is several times faster.
     pattern, injector : str
         Workload registry names (see :mod:`repro.workloads`); the paper's
         Figure 5 is ``uniform`` x ``poisson``, but any registered pair

@@ -13,15 +13,10 @@ nested loop.  This package replaces those loops with one engine:
   under a content hash of the configuration *and* the program source, so
   re-running an unchanged sweep is near-instant while any code edit
   transparently invalidates stale entries;
-* :class:`~repro.experiments.batch.BatchRunner` (selected by
-  ``--engine batch`` / ``MEMPOOL_ENGINE=batch``) groups compatible
-  open-loop traffic points of a sweep and advances each group as one
-  :class:`repro.engine.batch.SimBatch`, amortising per-point overhead
-  while remaining flit-for-flit identical to per-point execution;
 * :class:`~repro.experiments.distributed.DistributedExecutor`
-  (``--dispatch``) shards sweeps along the same batch-group boundaries
-  and executes them on a work-stealing fleet of local processes and/or
-  remote TCP workers, all sharing one content-addressed cache.
+  (``--dispatch``) shards sweeps and executes them on a work-stealing
+  fleet of local processes and/or remote TCP workers, all sharing one
+  content-addressed cache.
 
 Every figure/table driver in :mod:`repro.evaluation` goes through this
 engine; the registry of those drivers lives in
@@ -37,13 +32,6 @@ Examples
 [24, 54]
 """
 
-from repro.experiments.batch import (
-    BATCHABLE_RUNNERS,
-    BatchRunner,
-    TrafficAdapter,
-    plan_batches,
-    spec_group_key,
-)
 from repro.experiments.cache import (
     MISS,
     CacheBackend,
@@ -64,11 +52,6 @@ from repro.experiments.sweep import Sweep
 
 __all__ = [
     "MISS",
-    "BATCHABLE_RUNNERS",
-    "BatchRunner",
-    "plan_batches",
-    "spec_group_key",
-    "TrafficAdapter",
     "CacheBackend",
     "CacheStats",
     "MemoryCache",

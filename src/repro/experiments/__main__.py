@@ -54,6 +54,14 @@ from repro.workloads import (
 )
 
 
+def _positive_int(text: str) -> int:
+    """Argparse type of counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser of ``python -m repro.experiments``."""
     parser = argparse.ArgumentParser(
@@ -96,11 +104,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--shard-points",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
-        help="max sweep points per shard (default: keep batch groups "
-             "whole for batching engines, else ~4 shards per worker)",
+        help="max sweep points per shard, at least 1 (default: ~4 shards "
+             "per worker)",
     )
     run.add_argument(
         "--no-cache",
@@ -123,9 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="timing engine for the simulating experiments (default: "
              "MEMPOOL_ENGINE or 'legacy'; 'vector' is the faster "
-             "structure-of-arrays engine, 'batch' additionally advances "
-             "compatible traffic points as one SimBatch — results are "
-             "identical for all three)",
+             "structure-of-arrays engine — results are identical for "
+             "both)",
     )
     run.add_argument(
         "--pattern",
@@ -381,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     validate = commands.add_parser(
         "validate",
         help="validate results against the committed golden bands",
-        description="Re-measure every golden case over its seed batch and "
+        description="Re-measure every golden case over its seeds and "
                     "classify each metric's deviation into severity bands "
                     "(see repro.validation).",
     )

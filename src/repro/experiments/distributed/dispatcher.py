@@ -9,7 +9,7 @@ unchanged content-addressed spec keys, and leaves an
 
 1. the cache scan partitions the sweep into hits and misses;
 2. :func:`~repro.experiments.distributed.shards.plan_shards` cuts the
-   misses into batch-group-aligned shards;
+   misses into consecutive shards;
 3. a :class:`~repro.experiments.distributed.scheduler.ShardScheduler`
    leases shards to worker channels — forked local processes and/or TCP
    connections to remote ``python -m repro.experiments worker`` servers
@@ -25,7 +25,7 @@ unchanged content-addressed spec keys, and leaves an
 
 Results are identical to a serial run — same spec keys, same values —
 because workers execute the very same point functions through the very
-same executor/batch stack; the test-suite pins this byte for byte.
+same serial executor; the test-suite pins this byte for byte.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from repro.experiments.distributed.transport import (
     connect,
     parse_workers,
 )
-from repro.experiments.distributed.worker import BATCHING_ENGINES, local_worker_main
+from repro.experiments.distributed.worker import local_worker_main
 from repro.experiments.spec import ExperimentSpec
 
 
@@ -87,9 +87,8 @@ class DistributedExecutor:
         Requeue budget per shard before it is poisoned to the serial
         fallback path.
     max_points : int, optional
-        Shard-size bound passed to the planner.  Default: keep batch
-        groups whole when the sweep runs a batching engine, else split
-        to roughly four shards per channel for stealing granularity.
+        Shard-size bound passed to the planner, at least 1.  Default:
+        split to roughly four shards per channel for stealing granularity.
     serve_cache : bool
         Serve ``cache`` over TCP and advertise it to the workers
         (default True; loopback-only unless TCP workers are present).
@@ -116,12 +115,6 @@ class DistributedExecutor:
     2
     """
 
-    #: Seen by :meth:`repro.experiments.registry.ExperimentDefinition.run`:
-    #: shards are already batch-group aligned and workers pack them into
-    #: SimBatches, so wrapping this executor in a BatchRunner would be
-    #: redundant.
-    handles_batching = True
-
     def __init__(
         self,
         workers: int | str = 2,
@@ -137,6 +130,8 @@ class DistributedExecutor:
     ) -> None:
         import multiprocessing
 
+        if max_points is not None and max_points < 1:
+            raise ValueError(f"max_points must be at least 1, got {max_points}")
         self.observer = observer
         self.worker_specs = parse_workers(workers)
         self.workers = sum(entry.count for entry in self.worker_specs)
@@ -185,7 +180,7 @@ class DistributedExecutor:
 
         channels = self._make_channels()
         shards = plan_shards(
-            spec_list, miss_indices, self._resolve_max_points(spec_list, miss_indices)
+            spec_list, miss_indices, self._resolve_max_points(len(miss_indices))
         )
         self._observe(
             {
@@ -293,18 +288,12 @@ class DistributedExecutor:
                 channels.append(_Channel(name, entry))
         return channels
 
-    def _resolve_max_points(self, spec_list, miss_indices) -> int | None:
+    def _resolve_max_points(self, misses: int) -> int:
         if self.max_points is not None:
             return self.max_points
-        batching = any(
-            spec_list[index].params.get("engine") in BATCHING_ENGINES
-            for index in miss_indices
-        )
-        if batching:
-            return None  # keep SimBatch groups whole
         # Roughly four shards per channel: fine enough for stealing to
         # balance, coarse enough to amortise the per-shard round trip.
-        return max(1, math.ceil(len(miss_indices) / (4 * max(self.workers, 1))))
+        return max(1, math.ceil(misses / (4 * max(self.workers, 1))))
 
     def _local_cache_spec(self) -> str | None:
         """Cache spec forked local workers start with (disk shares by path)."""

@@ -62,15 +62,6 @@ class ExperimentDefinition:
     def run(self, settings: ExperimentSettings, executor: Executor) -> Any:
         """Expand the sweep, run it on ``executor`` and assemble the result.
 
-        With ``settings.engine == "batch"`` the executor is fronted by a
-        :class:`~repro.experiments.batch.BatchRunner`, which advances
-        compatible traffic points of the sweep as one batched engine group
-        and leaves every other point (and the cache protocol) with the
-        plain executor.  Executors that batch internally —
-        :class:`repro.experiments.distributed.DistributedExecutor` cuts
-        its shards along the same batch-group boundaries and packs them
-        worker-side — declare ``handles_batching`` and are never wrapped.
-
         Examples
         --------
         >>> from repro.experiments.registry import EXPERIMENTS
@@ -80,19 +71,7 @@ class ExperimentDefinition:
         True
         """
         specs = self.build_sweep(settings).specs()
-        if getattr(executor, "handles_batching", False):
-            results = executor.run(specs)
-        elif settings.engine == "batch":
-            from repro.experiments.batch import BatchRunner
-
-            runner = BatchRunner(executor)
-            results = runner.run(specs)
-            # Surface the batched run's counters where CLI callers read
-            # them (they print ``executor.last_report``).
-            executor.last_report = runner.last_report
-        else:
-            results = executor.run(specs)
-        return self.assemble(specs, results)
+        return self.assemble(specs, executor.run(specs))
 
 
 def resolve_selection(names: Sequence[str]) -> tuple[list[str], str | None]:

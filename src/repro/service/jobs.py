@@ -146,8 +146,6 @@ class Job:
         Registry assembler producing the figure result object (whose
         ``report()`` text is attached to the finished job), or ``None``
         for raw sweeps.
-    engine : str, optional
-        The engine named by the specs, used to pick a batching front-end.
     """
 
     job_id: str
@@ -156,7 +154,6 @@ class Job:
     specs: list
     cost: int = 0
     assemble: Optional[Callable] = None
-    engine: Optional[str] = None
     state: JobState = JobState.QUEUED
     submit_seq: int = 0
     created_s: float = field(default_factory=time.time)
@@ -234,14 +231,6 @@ def new_job_id() -> str:
     return uuid.uuid4().hex[:12]
 
 
-def spec_engine(specs: Sequence[ExperimentSpec]) -> Optional[str]:
-    """The engine the specs request, if any (mirrors the worker's probe)."""
-    return next(
-        (spec.params["engine"] for spec in specs if "engine" in spec.params),
-        None,
-    )
-
-
 def sort_queued(jobs: Sequence[Job]) -> list:
     """Queued jobs in dispatch order: cheapest first, FIFO on ties.
 
@@ -288,5 +277,4 @@ __all__ = [
     "new_job_id",
     "prune_finished",
     "sort_queued",
-    "spec_engine",
 ]

@@ -6,11 +6,10 @@ The paper evaluates four fixed interconnects (Top1, Top4, TopH, TopX —
 ClusterTopology` whose structure is a function of constructor parameters,
 so one registry entry (:mod:`repro.topologies.registry`) covers a whole
 design space.  Because a topology's entire timing contract is the resource
-list returned by ``build_path``, every family runs unchanged on all three
-engines — the legacy :class:`~repro.interconnect.resources.StageNetwork`,
-the vectorized :class:`~repro.engine.vector.VectorEngine` and the batched
-:class:`~repro.engine.batch.SimBatch` — with no engine-side code per
-family.
+list returned by ``build_path``, every family runs unchanged on both
+engines — the legacy :class:`~repro.interconnect.resources.StageNetwork`
+and the vectorized :class:`~repro.engine.vector.VectorEngine` — with no
+engine-side code per family.
 
 Pipeline levels
 ---------------

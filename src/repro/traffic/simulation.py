@@ -160,19 +160,15 @@ class TrafficSimulation:
             cluster.config.num_cores, injection_rate, seed=seed
         )
         self._queues: list[deque] = [deque() for _ in range(cluster.config.num_cores)]
-        #: Source queues of engine rows used by the vector and batch fast
-        #: paths — persistent across run() calls, mirroring ``self._queues``
-        #: on the legacy path, so back-to-back measurement windows see the
-        #: same backlog on every engine.
+        #: Source queues of engine rows used by the vector fast path —
+        #: persistent across run() calls, mirroring ``self._queues`` on the
+        #: legacy path, so back-to-back measurement windows see the same
+        #: backlog on both engines.
         self._row_queues: list[deque] | None = (
             [deque() for _ in range(cluster.config.num_cores)]
-            if getattr(cluster, "engine_kind", "legacy") in ("vector", "batch")
+            if getattr(cluster, "engine_kind", "legacy") == "vector"
             else None
         )
-        #: Single-member batch context of the ``batch`` engine, built
-        #: lazily on the first run() and reused so repeated windows keep
-        #: the engine state, like the other engines do.
-        self._traffic_batch = None
         self._injection_schedule = PermutationSchedule(
             cluster.config.num_cores, seed=seed + 1
         )
@@ -225,27 +221,15 @@ class TrafficSimulation:
         On a cluster built with ``engine="vector"`` the whole loop runs on
         the structure-of-arrays engine (:mod:`repro.engine.traffic`) — same
         random streams, flit-for-flit identical results, several times
-        faster.  ``engine="batch"`` runs the same loop as a single-member
-        :class:`~repro.engine.batch.TrafficBatch` (whole sweeps batch their
-        members through :class:`~repro.experiments.batch.BatchRunner`).
-        ``record_flits`` attaches the per-flit completion log to the result
-        (see :attr:`TrafficResult.flit_log`).
+        faster.  ``record_flits`` attaches the per-flit completion log to
+        the result (see :attr:`TrafficResult.flit_log`).
         """
-        engine_kind = getattr(self.cluster, "engine_kind", "legacy")
-        if engine_kind == "vector":
+        if getattr(self.cluster, "engine_kind", "legacy") == "vector":
             from repro.engine.traffic import run_vector_traffic
 
             return run_vector_traffic(
                 self, warmup_cycles, measure_cycles, record_flits=record_flits
             )
-        if engine_kind == "batch":
-            from repro.engine.batch import TrafficBatch
-
-            if self._traffic_batch is None:
-                self._traffic_batch = TrafficBatch([self])
-            return self._traffic_batch.run(
-                warmup_cycles, measure_cycles, record_flits=record_flits
-            )[0]
         network = self.cluster.network
         latency = OnlineStats()
         histogram = Histogram()

@@ -1,22 +1,21 @@
 """Differential fuzzing and severity-banded statistical result validation.
 
 The repo's correctness story has two committed layers: enumerated
-cross-engine golden tests (``tests/test_engine_equivalence``,
-``tests/test_engine_batch``) and the BENCH baselines.  This package adds
-the two layers between them:
+cross-engine golden tests (``tests/test_engine_equivalence``) and the
+BENCH baselines.  This package adds the two layers between them:
 
 - :mod:`repro.validation.fuzz` — a property-based **differential fuzzer**
   that samples the whole configuration space (topology x parameters x
   pattern x injector x seed x window) through the production registries
-  and asserts flit-for-flit identity across the ``legacy``, ``vector``
-  and ``batch`` engines, shrinking failures deterministically and
+  and asserts flit-for-flit identity across the ``legacy`` and
+  ``vector`` engines, shrinking failures deterministically and
   emitting a one-line ``--replay`` reproducer spec.
 - :mod:`repro.validation.golden` + :mod:`~repro.validation.bands` +
   :mod:`~repro.validation.bootstrap` — a **statistical result validator**
-  that re-measures committed golden cases over seed batches (nearly free
-  on the ``batch`` engine), attaches bootstrap confidence intervals, and
-  classifies deviations into configurable OK/minor/moderate/severe/
-  critical bands mapped to accept/warn/reject.
+  that re-measures committed golden cases over lists of seeds, attaches
+  bootstrap confidence intervals, and classifies deviations into
+  configurable OK/minor/moderate/severe/critical bands mapped to
+  accept/warn/reject.
 
 Entry points: ``python -m repro.validation`` (fuzz campaigns and replay),
 ``python -m repro.experiments validate`` (golden validation), and the

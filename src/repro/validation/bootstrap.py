@@ -1,9 +1,8 @@
 """Bootstrap confidence intervals for per-seed metric samples.
 
-The statistical half of the validation layer: SimBatch makes a
-batch-of-seeds nearly free (see
-:meth:`repro.engine.batch.TrafficBatch.of_seeds`), so every golden metric
-is the *mean over seeds* of a per-seed sample — and the percentile
+The statistical half of the validation layer: every golden metric is
+the *mean over seeds* of a per-seed sample
+(:func:`repro.validation.golden.measure_case`) — and the percentile
 bootstrap attaches a confidence interval to that mean without any
 distributional assumption on the underlying latency/throughput values.
 

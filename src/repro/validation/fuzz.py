@@ -1,12 +1,12 @@
-"""Property-based differential fuzzing of the three timing engines.
+"""Property-based differential fuzzing of the timing engines.
 
-The enumerated cross-engine golden tests (``tests/test_engine_equivalence``
-and ``tests/test_engine_batch``) pin a grid of known configurations; this
-module samples the *whole* configuration space — topology x topology
+The enumerated cross-engine golden tests (``tests/test_engine_equivalence``)
+pin a grid of known configurations; this module samples the *whole*
+configuration space — topology x topology
 parameters x destination pattern x injection process x seed x measurement
 window, filtered through the topology and workload registries' own
-validators — and asserts that the ``legacy``, ``vector`` and ``batch``
-engines produce flit-for-flit identical logs on every sampled point.
+validators — and asserts that the ``legacy`` and ``vector`` engines
+produce flit-for-flit identical logs on every sampled point.
 
 Every failing sample is reported as a **replay spec**: a one-line
 ``name:k=v,...`` string (the topology-spec grammar extended with the
@@ -30,7 +30,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from repro.core.cluster import MemPoolCluster
+from repro.core.cluster import ENGINES, MemPoolCluster
 from repro.core.config import MemPoolConfig
 from repro.topologies.registry import (
     available_topologies,
@@ -47,7 +47,7 @@ from repro.workloads.registry import (
 )
 
 #: Engines every sampled configuration is cross-checked on.
-ENGINES_CHECKED = ("legacy", "vector", "batch")
+ENGINES_CHECKED = ENGINES
 
 #: Scalar result fields compared across engines (the flit log is compared
 #: separately and first — it implies most of these, but a field-level
@@ -127,7 +127,7 @@ class FuzzCase:
         # structure (mesh width*height must tile num_tiles, butterfly
         # radix must divide the tile count, ...); building the topology
         # once surfaces those as a clean ValueError instead of a
-        # traceback three engines deep into a replay.
+        # traceback deep inside an engine replay.
         from repro.interconnect.topology import build_topology
 
         build_topology(self.config())

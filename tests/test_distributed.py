@@ -25,7 +25,6 @@ from repro.experiments import (
     ResultCache,
     Sweep,
 )
-from repro.experiments.batch import BatchRunner, spec_group_key
 from repro.experiments.distributed import (
     CacheClient,
     CacheServer,
@@ -72,47 +71,40 @@ class FakeClock:
 
 
 class TestPlanShards:
-    def test_unbatchable_specs_become_singletons(self):
-        shards = plan_shards(demo_specs(4))
-        assert [shard.size for shard in shards] == [1, 1, 1, 1]
-        assert all(shard.group is None for shard in shards)
-        covered = sorted(index for shard in shards for index in shard.indices)
-        assert covered == [0, 1, 2, 3]
-
-    def test_shards_follow_batch_group_boundaries(self):
+    def fig5_specs(self):
         settings = ExperimentSettings(
-            engine="batch", warmup_cycles=50, measure_cycles=100
+            engine="vector", warmup_cycles=50, measure_cycles=100
         )
-        specs = EXPERIMENTS["fig5"].build_sweep(settings).specs()
-        shards = plan_shards(specs)
+        return EXPERIMENTS["fig5"].build_sweep(settings).specs()
+
+    def test_no_bound_gives_one_spec_per_shard(self):
+        shards = plan_shards(demo_specs(4))
+        assert [shard.indices for shard in shards] == [(0,), (1,), (2,), (3,)]
+
+    def test_chunks_are_consecutive_in_sweep_order(self):
+        specs = self.fig5_specs()
+        shards = plan_shards(specs, max_points=4)
         for shard in shards:
-            keys = {spec_group_key(specs[index]) for index in shard.indices}
-            assert len(keys) == 1  # one compiled network per shard
-        covered = sorted(index for shard in shards for index in shard.indices)
+            first = shard.indices[0]
+            assert shard.indices == tuple(range(first, first + shard.size))
+        covered = [index for shard in shards for index in shard.indices]
         assert covered == list(range(len(specs)))
 
-    def test_max_points_splits_groups_without_mixing_them(self):
-        settings = ExperimentSettings(
-            engine="batch", warmup_cycles=50, measure_cycles=100
-        )
-        specs = EXPERIMENTS["fig5"].build_sweep(settings).specs()
+    def test_max_points_bounds_every_shard(self):
+        specs = self.fig5_specs()
         shards = plan_shards(specs, max_points=2)
         assert all(shard.size <= 2 for shard in shards)
-        for shard in shards:
-            keys = {spec_group_key(specs[index]) for index in shard.indices}
-            assert len(keys) == 1
+        assert len(shards) == (len(specs) + 1) // 2
 
     def test_miss_indices_restrict_the_plan(self):
         shards = plan_shards(demo_specs(5), miss_indices=[1, 3])
         covered = sorted(index for shard in shards for index in shard.indices)
         assert covered == [1, 3]
+        shards = plan_shards(demo_specs(6), miss_indices=[0, 2, 3, 5], max_points=3)
+        assert [shard.indices for shard in shards] == [(0, 2, 3), (5,)]
 
     def test_largest_shard_first_with_dense_ids(self):
-        settings = ExperimentSettings(
-            engine="batch", warmup_cycles=50, measure_cycles=100
-        )
-        specs = EXPERIMENTS["fig5"].build_sweep(settings).specs()
-        shards = plan_shards(specs)
+        shards = plan_shards(self.fig5_specs(), max_points=4)
         sizes = [shard.size for shard in shards]
         assert sizes == sorted(sizes, reverse=True)
         assert [shard.shard_id for shard in shards] == list(range(len(shards)))
@@ -478,16 +470,32 @@ class TestRunShardSpecs:
     def test_plain_specs_run_through_the_serial_executor(self):
         assert run_shard_specs(demo_specs(3)) == [0, 3, 6]
 
-    def test_batching_engine_shards_match_per_point_execution(self):
+    def test_fig5_shard_matches_per_point_execution(self):
         settings = ExperimentSettings(
-            engine="batch", warmup_cycles=50, measure_cycles=100
+            engine="vector", warmup_cycles=50, measure_cycles=100
         )
         specs = EXPERIMENTS["fig5"].build_sweep(settings).specs()
-        shard = plan_shards(specs)[0]
+        shard = plan_shards(specs, max_points=4)[0]
         shard_specs = [specs[index] for index in shard.indices]
-        batched = run_shard_specs(shard_specs)
-        serial = Executor(workers=1).run(shard_specs)
-        assert pickle.dumps(batched) == pickle.dumps(serial)
+        sharded = run_shard_specs(shard_specs)
+        per_point = [Executor(workers=1).run([spec])[0] for spec in shard_specs]
+        assert pickle.dumps(sharded) == pickle.dumps(per_point)
+
+
+class TestShardPointsValidation:
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_executor_rejects_max_points_below_one(self, bad):
+        with pytest.raises(ValueError, match="max_points must be at least 1"):
+            DistributedExecutor(workers=1, max_points=bad)
+
+    @pytest.mark.parametrize("bad", ["0", "-3"])
+    def test_cli_rejects_shard_points_below_one(self, bad, capsys):
+        from repro.experiments.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "fig10", "--dispatch", "-w", "1", "--shard-points", bad])
+        assert excinfo.value.code == 2
+        assert "--shard-points: must be at least 1" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------- #
@@ -508,18 +516,18 @@ class TestDistributedExecutor:
         assert report.worker_lines()
 
     def test_mixed_catalogue_is_byte_identical_to_serial(self, tmp_path):
-        # The acceptance sweep: fig5 + workloads + topologies points, a
-        # batching engine, and both a serial and a distributed run with
+        # The acceptance sweep: fig5 + workloads + topologies points on the
+        # vector engine, and both a serial and a distributed run with
         # their own caches — results AND cache contents must match bytewise.
         settings = ExperimentSettings(
-            engine="batch", warmup_cycles=50, measure_cycles=100
+            engine="vector", warmup_cycles=50, measure_cycles=100
         )
         specs = []
         for name in ("fig5", "workloads", "topologies"):
             specs.extend(EXPERIMENTS[name].build_sweep(settings).specs())
         serial_cache = ResultCache(tmp_path / "serial")
         dist_cache = ResultCache(tmp_path / "dist")
-        serial = BatchRunner(Executor(workers=1, cache=serial_cache)).run(specs)
+        serial = Executor(workers=1, cache=serial_cache).run(specs)
         dist = DistributedExecutor(workers=2, cache=dist_cache).run(specs)
         # Point by point (a whole-list pickle would also compare pickle's
         # object-sharing memo, which legitimately differs across a wire).

@@ -155,10 +155,15 @@ class TestVectorStageNetwork:
 
 class TestClusterEngineSelection:
     def test_unknown_engine_rejected(self, toph_config):
-        # "compiled" is a retired engine name: it must fail like any typo.
-        for engine in ("warp", "compiled"):
+        from repro.evaluation.settings import ExperimentSettings
+
+        # "compiled" and "batch" are retired engine names: they must fail
+        # like any typo, on the cluster and in the experiment settings.
+        for engine in ("warp", "compiled", "batch"):
             with pytest.raises(ValueError, match="unknown engine"):
                 MemPoolCluster(toph_config, engine=engine)
+            with pytest.raises(ValueError, match="unknown engine"):
+                ExperimentSettings(engine=engine)
 
     def test_legacy_is_the_default(self, toph_config):
         cluster = MemPoolCluster(toph_config)

@@ -1,12 +1,11 @@
-"""Equivalence of the SoA engines with the legacy object engine.
+"""Equivalence of the SoA engine with the legacy object engine.
 
 The contract of :mod:`repro.engine` is *cycle-exactness*: for fixed seeds,
 the structure-of-arrays ``vector`` engine (deque + move-chain) must produce
 flit-for-flit identical injection and completion cycles, and therefore
 identical throughput and latency figures, on every topology.  These tests
 drive the engines through the same workloads and compare the complete
-per-flit logs against the legacy engine (the ``batch`` engine is pinned
-against ``vector`` by ``tests/test_engine_batch.py``).
+per-flit logs against the legacy engine.
 """
 
 from __future__ import annotations

@@ -108,8 +108,9 @@ def test_bogus_engine_environment_fails_fast(monkeypatch):
 
     from repro.evaluation.settings import ExperimentSettings
 
-    # "compiled" is a retired engine name: stale settings must fail fast.
-    for value in ("Vector", "compiled"):
+    # "compiled" and "batch" are retired engine names: stale settings must
+    # fail fast.
+    for value in ("Vector", "compiled", "batch"):
         monkeypatch.setenv("MEMPOOL_ENGINE", value)
         with pytest.raises(ValueError, match="unknown engine"):
             ExperimentSettings()

@@ -146,14 +146,14 @@ class TestJobHelpers:
 
 class TestBuildSpecs:
     def test_experiment_payload_expands_registry_sweep(self):
-        title, specs, assemble, engine = build_specs(
+        title, specs, assemble = build_specs(
             {"experiment": "fig10", "settings": {}}
         )
         assert title == "fig10" and len(specs) >= 1
         assert callable(assemble)
 
     def test_raw_sweep_payload(self):
-        title, specs, assemble, engine = build_specs(sweep_payload(name="demo"))
+        title, specs, assemble = build_specs(sweep_payload(name="demo"))
         assert title == "demo" and len(specs) == 2 and assemble is None
 
     @pytest.mark.parametrize(

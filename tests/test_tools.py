@@ -67,30 +67,6 @@ class TestBenchReportCompare:
         assert ok
 
 
-class TestBatchReport:
-    """The SimBatch section of the report."""
-
-    def test_absent_section_is_none(self):
-        assert bench_report.batch_report(_engine_payload(3.0), None, 0.2) is None
-
-    def test_no_baseline_is_informational(self):
-        current = {"batch": {"speedup": 2.4, "points": 33}}
-        ok, report = bench_report.batch_report(current, _engine_payload(3.0), 0.2)
-        assert ok
-        assert "informational" in report
-
-    def test_gated_against_baseline(self):
-        current = {"batch": {"speedup": 1.5}}
-        baseline = {"batch": {"speedup": 2.4}}
-        ok, report = bench_report.batch_report(current, baseline, 0.2)
-        assert not ok
-        assert "REGRESSION" in report
-        ok, _ = bench_report.batch_report(
-            {"batch": {"speedup": 2.0}}, baseline, 0.2
-        )
-        assert ok  # floor is 2.4 * 0.8 = 1.92
-
-
 def _distributed_payload(speedup, cpus=4):
     return {
         "distributed": {
@@ -262,19 +238,6 @@ class TestBenchReportMain:
         baseline = tmp_path / "baseline.json"
         current.write_text(json.dumps(_engine_payload(2.0)))
         baseline.write_text(json.dumps(_engine_payload(3.0)))
-        assert bench_report.main(
-            ["--current", str(current), "--baseline", str(baseline)]
-        ) == 1
-
-    def test_batch_regression_alone_exits_one(self, tmp_path):
-        current = tmp_path / "current.json"
-        baseline = tmp_path / "baseline.json"
-        current_payload = _engine_payload(3.0)
-        current_payload["batch"] = {"speedup": 1.0}
-        baseline_payload = _engine_payload(3.0)
-        baseline_payload["batch"] = {"speedup": 2.4}
-        current.write_text(json.dumps(current_payload))
-        baseline.write_text(json.dumps(baseline_payload))
         assert bench_report.main(
             ["--current", str(current), "--baseline", str(baseline)]
         ) == 1

@@ -8,8 +8,8 @@ Two contracts anchor this file:
   (core, bank) pair.  This pins the paper's 1/3/5-cycle invariants for
   top1/top4/toph and the distance formulas of the new families.
 * **Cross-engine equivalence.**  Every registered topology must produce
-  flit-for-flit identical logs on the legacy object engine, the vectorized
-  engine and the batched engine — the property that makes the registry
+  flit-for-flit identical logs on the legacy object engine and the
+  vectorized engine — the property that makes the registry
   safe to extend (a family whose level assignment broke the monotonicity
   invariant, or whose routing was non-deterministic, fails here).
 """
@@ -251,12 +251,12 @@ class TestFamilyStructure:
 
 
 class TestCrossEngineEquivalence:
-    """Legacy, vector and batch engines agree flit-for-flit per family."""
+    """Legacy and vector engines agree flit-for-flit per family."""
 
     @pytest.mark.parametrize("name", available_topologies())
     def test_flit_logs_identical_across_engines(self, name):
         logs = {}
-        for engine in ("legacy", "vector", "batch"):
+        for engine in ("legacy", "vector"):
             cluster = MemPoolCluster(MemPoolConfig.tiny(name), engine=engine)
             simulation = cluster.traffic_simulation(0.3, seed=11)
             result = simulation.run(
@@ -264,7 +264,7 @@ class TestCrossEngineEquivalence:
             )
             logs[engine] = (result.flit_log, result.local_fraction)
         assert logs["legacy"][0]  # the comparison must not be vacuous
-        assert logs["legacy"] == logs["vector"] == logs["batch"], name
+        assert logs["legacy"] == logs["vector"], name
 
     def test_parameterized_point_is_engine_neutral(self):
         from repro.evaluation.topologies import simulate_topology_point
@@ -431,25 +431,3 @@ class TestTopologiesExperiment:
         )
         assert result.topology == "mesh"
         assert result.throughput("uniform", "poisson") > 0.0
-
-    def test_batch_runner_batches_parameterized_topologies(self):
-        from repro.evaluation.settings import ExperimentSettings
-        from repro.evaluation.workloads import workloads_sweep
-        from repro.experiments.batch import BatchRunner
-        from repro.experiments.executor import Executor
-
-        settings = ExperimentSettings(
-            engine="batch", warmup_cycles=30, measure_cycles=60,
-            topology="torus:width=4,height=4",
-        )
-        specs = workloads_sweep(
-            settings, patterns=("uniform", "neighbor"), injectors=("poisson",),
-            load=0.1,
-        ).specs()
-        batched = BatchRunner(Executor()).run(specs)
-        serial = Executor().run(specs)
-        for batch_result, serial_result in zip(batched, serial):
-            assert batch_result.flit_log == serial_result.flit_log or (
-                batch_result.completed_requests == serial_result.completed_requests
-                and batch_result.average_latency == serial_result.average_latency
-            )

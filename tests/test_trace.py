@@ -18,7 +18,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.cluster import MemPoolCluster
+from repro.core.cluster import ENGINES, MemPoolCluster
 from repro.core.config import MemPoolConfig
 from repro.workloads import (
     ScaleFreePattern,
@@ -32,7 +32,6 @@ from repro.workloads import (
 )
 from repro.workloads.registry import injector_entry, pattern_entry
 
-ENGINES = ("legacy", "vector", "batch")
 
 
 def _run(cluster, load=0.3, pattern="uniform", injector="poisson",
@@ -69,7 +68,7 @@ def _replay(config, path, sha, engine, extra_cycles=256):
 
 
 class TestRecordReplayIdentity:
-    """A recorded trace replays identically on all three engines."""
+    """A recorded trace replays identically on every engine."""
 
     def test_vector_recording_replays_identically_everywhere(self, tmp_path):
         config, path, sha, recording = _record(tmp_path, engine="vector")

@@ -2,7 +2,7 @@
 
 Covers the statistical half of :mod:`repro.validation`: band
 classification and policy plumbing, the percentile bootstrap, the golden
-corpus round trip, seed-batch measurement equivalence, and the
+corpus round trip, per-seed measurement equivalence, and the
 ``python -m repro.experiments validate`` workflow — including that an
 unmodified golden classifies ``OK`` and a perturbed one lands in exactly
 the band its deviation calls for.
@@ -16,7 +16,6 @@ import pytest
 
 from repro.core.cluster import MemPoolCluster
 from repro.core.config import MemPoolConfig
-from repro.engine.batch import TrafficBatch
 from repro.traffic.simulation import TrafficSimulation
 from repro.validation import (
     METRICS,
@@ -172,9 +171,9 @@ class TestGoldenCase:
             )
 
 
-class TestSeedBatchMeasurement:
-    def test_of_seeds_matches_per_sim_runs(self):
-        """The batch-of-seeds samples equal S independent vector runs."""
+class TestSeedMeasurement:
+    def test_measure_case_matches_per_seed_runs(self):
+        """The golden samples equal S independent vector runs."""
         case = FAST_CASES[0]
         summaries = measure_case(case)
         for metric in METRICS:
@@ -190,11 +189,6 @@ class TestSeedBatchMeasurement:
                 result = simulation.run(case.warmup, case.measure)
                 per_seed.append(getattr(result, metric))
             assert summaries[metric] == bootstrap_mean(per_seed)
-
-    def test_of_seeds_rejects_empty_seed_list(self):
-        cluster = MemPoolCluster(MemPoolConfig.tiny(), engine="batch")
-        with pytest.raises(ValueError, match="at least one seed"):
-            TrafficBatch.of_seeds(cluster, 0.3, [])
 
 
 class TestRelativeDeviation:

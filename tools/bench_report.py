@@ -2,15 +2,13 @@
 """Diff the current engine benchmarks against the committed baseline.
 
 ``benchmarks/test_perf_engine.py`` writes ``BENCH_engine.json`` with the
-measured legacy-vs-vector transport speedup, and
-``benchmarks/test_perf_batch.py`` merges the SimBatch-vs-sequential sweep
-speedup into the same file; ``benchmarks/BENCH_engine.baseline.json`` is
-the committed reference.  Current results are read from ``BENCH_OUT_DIR``
-— the gitignored ``benchmarks/_out/`` when unset, where the benchmarks
-write by default — so ``BENCH_OUT_DIR=benchmarks`` reports on the
-committed snapshots instead.  This tool compares the two and fails (exit
-code 1) when either measured *speedup* regressed by more than the
-threshold (default 20 %).
+measured legacy-vs-vector transport speedup;
+``benchmarks/BENCH_engine.baseline.json`` is the committed reference.
+Current results are read from ``BENCH_OUT_DIR`` — the gitignored
+``benchmarks/_out/`` when unset, where the benchmarks write by default —
+so ``BENCH_OUT_DIR=benchmarks`` reports on the committed snapshots
+instead.  This tool compares the two and fails (exit code 1) when a
+measured *speedup* regressed by more than the threshold (default 20 %).
 
 The comparison is on the speedup ratio, not on raw cycles/sec: absolute
 throughput varies with the host machine, but the legacy engine runs on the
@@ -83,48 +81,6 @@ def compare(current: dict, baseline: dict, threshold: float) -> tuple[bool, str]
         "  verdict         : "
         + ("OK" if ok else f"REGRESSION (> {threshold:.0%} below baseline)")
     )
-    return ok, "\n".join(lines)
-
-
-def batch_report(
-    current: dict, baseline: dict | None, threshold: float
-) -> tuple[bool, str] | None:
-    """SimBatch-vs-sequential report and gate, or None when never benchmarked.
-
-    ``benchmarks/test_perf_batch.py`` merges a ``"batch"`` section into the
-    current results file; like the engine comparison, the gated signal is
-    the *speedup ratio* (sequential vector runs execute on the same host in
-    the same process), compared against the committed baseline's batch
-    speedup when one exists.
-    """
-    section = current.get("batch")
-    if not section:
-        return None
-    speedup = section.get("speedup", 0.0)
-    lines = [
-        f"batch benchmark : {section.get('benchmark', 'sweep batching')}",
-        f"  sweep speedup   : {speedup:.2f}x over sequential vector "
-        f"({section.get('sequential_seconds', 0)}s -> "
-        f"{section.get('batch_seconds', 0)}s, "
-        f"{section.get('points', 0)} points)",
-    ]
-    ok = True
-    base_section = (baseline or {}).get("batch")
-    if base_section and base_section.get("speedup"):
-        base_speedup = base_section["speedup"]
-        floor = base_speedup * (1.0 - threshold)
-        ok = speedup >= floor
-        lines.append(
-            "  verdict         : "
-            + (
-                f"OK (baseline {base_speedup:.2f}x, floor {floor:.2f}x)"
-                if ok
-                else f"REGRESSION (> {threshold:.0%} below baseline "
-                f"{base_speedup:.2f}x)"
-            )
-        )
-    else:
-        lines.append("  verdict         : no committed batch baseline (informational)")
     return ok, "\n".join(lines)
 
 
@@ -324,11 +280,6 @@ def main(argv: list[str] | None = None) -> int:
             "bench_report: current results carry no engine speedup yet "
             "(run `make bench-engine` for the legacy-vs-vector comparison)"
         )
-    batch = batch_report(current, baseline, args.threshold)
-    if batch:
-        batch_ok, report = batch
-        ok = ok and batch_ok
-        print(report)
     topologies = topologies_report(current, baseline, args.threshold)
     if topologies:
         topologies_ok, report = topologies
