@@ -53,6 +53,9 @@ class AddressMap:
         self._bank_shift = self._byte_bits
         self._tile_shift = self._byte_bits + self._bank_bits
         self._row_shift = self._tile_shift + self._tile_bits
+        #: The tile offset sits directly above the bank offset, so the two
+        #: fields read as one are the global bank index.
+        self._global_bank_mask = (1 << (self._bank_bits + self._tile_bits)) - 1
         self._size = config.l1_bytes
 
     # -- scrambling hooks ------------------------------------------------ #
@@ -105,8 +108,9 @@ class AddressMap:
         return self.decode(address).tile
 
     def global_bank_of(self, address: int) -> int:
-        """Global bank index targeted by ``address``."""
-        return self.decode(address).global_bank(self.config.banks_per_tile)
+        """Global bank index targeted by ``address`` (``decode(...).global_bank``)."""
+        self.check_address(address)
+        return (self.scramble(address) >> self._bank_shift) & self._global_bank_mask
 
     def is_local(self, address: int, tile: int) -> bool:
         """True if ``address`` maps to a bank inside ``tile``."""

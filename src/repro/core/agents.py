@@ -16,8 +16,9 @@ Both feed :class:`repro.core.coremodel.CoreTimingModel`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Iterator
+from dataclasses import dataclass
+from typing import Union
 
 
 @dataclass(frozen=True)
@@ -73,8 +74,10 @@ class Barrier:
     barrier_id: int = 0
 
 
-#: Union of every operation a core agent may yield.
-Operation = Compute | Load | Store | Use | Barrier
+#: Union of every operation a core agent may yield.  Spelled with
+#: ``typing.Union``: a ``|`` of classes evaluated at import time needs
+#: Python 3.10, and the package supports 3.9.
+Operation = Union[Compute, Load, Store, Use, Barrier]
 
 
 class CoreAgent:

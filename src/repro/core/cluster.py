@@ -168,8 +168,7 @@ class MemPoolCluster:
         tag: object = None,
     ) -> Flit:
         """Build the flit for a memory access to a program-visible address."""
-        location = self.address_map.decode(address)
-        bank_id = location.global_bank(self.config.banks_per_tile)
+        bank_id = self.address_map.global_bank_of(address)
         return self.make_bank_flit(core_id, bank_id, is_write, cycle, tag)
 
     def make_bank_flit(

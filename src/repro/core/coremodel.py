@@ -7,10 +7,29 @@ instructions, which is useful to hide the SPM access latency"*) and tracked
 by a reorder buffer; the core only stalls when an instruction *uses* a value
 that has not returned yet, when the ROB is full, or when the interconnect
 back-pressures its request port.
+
+Cores are stepped event-driven.  Each core keeps a *wake cycle*, the first
+cycle on which its front end can do anything new, and the system only steps
+a core that is due or has a request waiting for injection:
+
+* a ``Compute`` of *k* cycles wakes the core *k* cycles later;
+* an issued load or store wakes it on the next cycle;
+* a dependency stall (``Use`` of a load still in flight) or a structural
+  stall (ROB full or injection queue full) puts it to sleep until a
+  response reaches it; a structural stall also ends the cycle after its
+  own injection queue pops;
+* a ``Barrier`` puts it to sleep until the barrier releases;
+* a core that finished its program never wakes again.
+
+A stalled core counts its stall on the cycle it stalls, and the cycles it
+sleeps through are added to the same :class:`CoreStats` counter when it
+wakes (or, for a barrier, when the barrier releases), so every counter is
+the one a core stepped on every cycle would report.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass
 
@@ -78,11 +97,8 @@ class CoreStats:
         self.finish_cycle = max(self.finish_cycle, other.finish_cycle)
 
 
-@dataclass
-class _PendingOp:
-    """The operation currently blocking the core's front end, if any."""
-
-    operation: Operation | None = None
+#: Wake cycle of a core that waits for an event rather than for the clock.
+NEVER = sys.maxsize
 
 
 class CoreTimingModel:
@@ -91,6 +107,7 @@ class CoreTimingModel:
     def __init__(self, core_id: int, cluster, agent: CoreAgent, barrier) -> None:
         self.core_id = core_id
         self.cluster = cluster
+        self.network = cluster.network
         self.agent = agent
         self.barrier = barrier
         self.tile_id = cluster.config.tile_of_core(core_id)
@@ -99,11 +116,18 @@ class CoreTimingModel:
         self.injection_queue: deque = deque()
         self.injection_depth = timing.injection_queue_depth
         self.stats = CoreStats()
-        self.busy_until = 0
+        #: First cycle on which :meth:`step` advances the front end (see the
+        #: module docstring); :data:`NEVER` while waiting for an event.
+        self.wake_cycle = 0
         self.barrier_waiting = False
         self.done = False
         self._ops = iter(agent.operations())
-        self._pending = _PendingOp()
+        #: The operation blocking the front end, if any.
+        self._pending: Operation | None = None
+        #: While asleep in a stall: the :class:`CoreStats` counter it accrues
+        #: and the last cycle already counted.
+        self._stall_counter: str | None = None
+        self._stalled_at = -1
         self._tag_to_sequence: dict[object, int] = {}
         self._sequence = 0
 
@@ -118,19 +142,36 @@ class CoreTimingModel:
         latency = flit.latency
         self.stats.load_latency_sum += latency
         self.stats.load_latency_max = max(self.stats.load_latency_max, latency)
+        if self._stall_counter is not None:
+            self.wake_cycle = min(self.wake_cycle, flit.completed_cycle)
 
-    def release_barrier(self) -> None:
-        """Called by the system when the barrier this core waits on opens."""
+    def release_barrier(self, cycle: int) -> None:
+        """Called by the system when the barrier this core waits on opens.
+
+        The core waited on every cycle after its arrival up to ``cycle``
+        and resumes on the next one.
+        """
         self.barrier_waiting = False
+        self.stats.barrier_stalls += cycle - self._stalled_at
+        self.wake_cycle = cycle + 1
 
     # ------------------------------------------------------------------ #
     # Per-cycle behaviour
     # ------------------------------------------------------------------ #
 
     def step(self, cycle: int) -> None:
-        """Advance the core by one cycle."""
-        self._progress_agent(cycle)
-        self._try_inject(cycle)
+        """Advance the core by one cycle.
+
+        The front end runs once the wake cycle has come; the head of the
+        injection queue then tries to enter the network.
+        """
+        if cycle >= self.wake_cycle:
+            self._progress_agent(cycle)
+        queue = self.injection_queue
+        if queue and self.network.try_inject(queue[0], cycle):
+            queue.popleft()
+            if self._stall_counter == "structural_stalls":
+                self.wake_cycle = min(self.wake_cycle, cycle + 1)
 
     @property
     def idle(self) -> bool:
@@ -139,39 +180,38 @@ class CoreTimingModel:
 
     # -- front end -------------------------------------------------------- #
 
-    def _next_operation(self) -> Operation | None:
-        if self._pending.operation is not None:
-            return self._pending.operation
-        try:
-            operation = next(self._ops)
-        except StopIteration:
-            return None
-        self._pending.operation = operation
-        return operation
-
-    def _consume(self) -> None:
-        self._pending.operation = None
+    def _stall(self, cycle: int, counter: str) -> None:
+        """Count one stall cycle on ``counter`` and sleep until an event."""
+        stats = self.stats
+        setattr(stats, counter, getattr(stats, counter) + 1)
+        self._stall_counter = counter
+        self._stalled_at = cycle
+        self.wake_cycle = NEVER
 
     def _progress_agent(self, cycle: int) -> None:
-        if self.done:
-            return
-        if self.busy_until > cycle:
-            return
-        if self.barrier_waiting:
-            self.stats.barrier_stalls += 1
-            return
+        counter = self._stall_counter
+        if counter is not None:
+            # Waking from a stall: count the cycles slept through.
+            self._stall_counter = None
+            stats = self.stats
+            setattr(stats, counter, getattr(stats, counter) + cycle - self._stalled_at - 1)
+        self.wake_cycle = cycle + 1
         while True:
-            operation = self._next_operation()
+            operation = self._pending
             if operation is None:
-                self.done = True
-                self.stats.finish_cycle = cycle
-                return
+                try:
+                    operation = self._pending = next(self._ops)
+                except StopIteration:
+                    self.done = True
+                    self.stats.finish_cycle = cycle
+                    self.wake_cycle = NEVER
+                    return
             if isinstance(operation, Compute):
-                self._consume()
+                self._pending = None
                 self.stats.compute_cycles += operation.cycles
                 self.stats.mul_instructions += operation.muls
                 if operation.cycles > 0:
-                    self.busy_until = cycle + operation.cycles
+                    self.wake_cycle = cycle + operation.cycles
                     return
                 continue
             if isinstance(operation, Use):
@@ -182,27 +222,29 @@ class CoreTimingModel:
                         "before any load produced it"
                     )
                 if not self.rob.is_complete(sequence):
-                    self.stats.dependency_stalls += 1
+                    self._stall(cycle, "dependency_stalls")
                     return
-                self._consume()
+                self._pending = None
                 continue
             if isinstance(operation, Load):
                 if self.rob.is_full or len(self.injection_queue) >= self.injection_depth:
-                    self.stats.structural_stalls += 1
+                    self._stall(cycle, "structural_stalls")
                     return
                 self._issue_load(operation, cycle)
-                self._consume()
+                self._pending = None
                 return
             if isinstance(operation, Store):
                 if len(self.injection_queue) >= self.injection_depth:
-                    self.stats.structural_stalls += 1
+                    self._stall(cycle, "structural_stalls")
                     return
                 self._issue_store(operation, cycle)
-                self._consume()
+                self._pending = None
                 return
             if isinstance(operation, Barrier):
-                self._consume()
+                self._pending = None
                 self.barrier_waiting = True
+                self._stalled_at = cycle
+                self.wake_cycle = NEVER
                 self.barrier.arrive(self.core_id, operation.barrier_id)
                 return
             raise TypeError(f"unknown core operation {operation!r}")
@@ -221,7 +263,7 @@ class CoreTimingModel:
         )
         self.rob.allocate(sequence)
         self.injection_queue.append(flit)
-        if self.cluster.is_local_access(self.core_id, operation.address):
+        if self.cluster.is_local_bank(self.core_id, flit.bank_id):
             self.stats.local_loads += 1
         else:
             self.stats.remote_loads += 1
@@ -235,16 +277,7 @@ class CoreTimingModel:
             tag=None,
         )
         self.injection_queue.append(flit)
-        if self.cluster.is_local_access(self.core_id, operation.address):
+        if self.cluster.is_local_bank(self.core_id, flit.bank_id):
             self.stats.local_stores += 1
         else:
             self.stats.remote_stores += 1
-
-    # -- back end --------------------------------------------------------- #
-
-    def _try_inject(self, cycle: int) -> None:
-        if not self.injection_queue:
-            return
-        flit = self.injection_queue[0]
-        if self.cluster.network.try_inject(flit, cycle):
-            self.injection_queue.popleft()

@@ -3,8 +3,10 @@
 :class:`MemPoolSystem` instantiates one :class:`CoreTimingModel` per core,
 connects them to the cluster's stage network, and advances everything cycle
 by cycle until every core has finished its program and the interconnect has
-drained.  The result object carries the cycle count and the activity counters
-consumed by the energy and power models.
+drained.  Within a cycle only the cores whose state can change are stepped
+(see :mod:`repro.core.coremodel` for the wake rules).  The result object
+carries the cycle count and the activity counters consumed by the energy and
+power models.
 """
 
 from __future__ import annotations
@@ -171,7 +173,12 @@ class MemPoolSystem:
             CoreTimingModel(core_id, cluster, agent, self.barrier)
             for core_id, agent in enumerate(self.agents)
         ]
-        self._step_schedule = PermutationSchedule(len(self.cores), seed=1)
+        schedule = PermutationSchedule(len(self.cores), seed=1)
+        #: The cores in each of the schedule's per-cycle visiting orders.
+        self._step_orders = [
+            tuple(self.cores[index] for index in schedule.order(cycle))
+            for cycle in range(schedule.pool_size)
+        ]
         self.cycle = 0
 
     @classmethod
@@ -236,18 +243,26 @@ class MemPoolSystem:
     # ------------------------------------------------------------------ #
 
     def step(self) -> None:
-        """Advance the whole system by one cycle."""
-        network = self.cluster.network
-        completed = network.advance(self.cycle)
-        for flit in completed:
+        """Advance the whole system by one cycle.
+
+        Cores are visited in the cycle's permuted order, but only the cores
+        that are due (their wake cycle has come) or hold a request waiting
+        for injection are stepped: every other core's step would change
+        nothing (see :mod:`repro.core.coremodel`).
+        """
+        cycle = self.cycle
+        cores = self.cores
+        for flit in self.cluster.network.advance(cycle):
             if flit.is_read:
-                self.cores[flit.core_id].on_response(flit)
-        for index in self._step_schedule.order(self.cycle):
-            self.cores[index].step(self.cycle)
+                cores[flit.core_id].on_response(flit)
+        step_orders = self._step_orders
+        for core in step_orders[cycle % len(step_orders)]:
+            if core.wake_cycle <= cycle or core.injection_queue:
+                core.step(cycle)
         if self.barrier.try_release():
             for core_id in self.barrier.participants:
-                self.cores[core_id].release_barrier()
-        self.cycle += 1
+                cores[core_id].release_barrier(cycle)
+        self.cycle = cycle + 1
 
     def _all_done(self) -> bool:
         return all(core.idle for core in self.cores) and self.cluster.network.in_flight == 0

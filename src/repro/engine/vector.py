@@ -235,23 +235,39 @@ class VectorEngine:
             self.total_completed += 1
         return True
 
+    def injection_hop(self, core_id: int, bank_id: int, is_write: bool) -> tuple:
+        """Resolve a core -> bank transaction's template and injection hop.
+
+        Returns ``(path_id, target, arbiters, following)``: the template id
+        and the chain head of :attr:`CompiledNetwork.path_moves` with the
+        bank-stage placeholder already substituted in ``target`` and in
+        ``following``.  A caller that retries one transaction every cycle
+        resolves it once and hands the tuple to :meth:`inject_new`.
+        """
+        compiled = self.compiled
+        path_id = self._path_template(core_id, bank_id, is_write)
+        target, arbiters, following = compiled.path_moves[path_id]
+        bank_stage = compiled.bank_stage_ids[bank_id]
+        if target == BANK:
+            target = bank_stage
+        if following is not None and following[0] == BANK:
+            following = (bank_stage, following[1], following[2])
+        return path_id, target, arbiters, following
+
     def inject_new(
-        self, core_id: int, bank_id: int, is_write: bool,
+        self, hop: tuple, core_id: int, bank_id: int, is_write: bool,
         created_cycle: int, cycle: int,
     ) -> int | None:
         """Atomically allocate-and-inject a new flit row.
 
-        The check-then-allocate order matters: a failed injection allocates
+        ``hop`` is the transaction's :meth:`injection_hop`.  The
+        check-then-allocate order matters: a failed injection allocates
         nothing, so callers that retry every cycle (the execution-driven
         core models, via the object facade) do not leak one row per failed
         attempt.  Returns the injected row id, or ``None`` when the first
         hop is blocked this cycle.
         """
-        compiled = self.compiled
-        path_id = self._path_template(core_id, bank_id, is_write)
-        target, arbiters, following = compiled.path_moves[path_id]
-        if target == BANK:
-            target = compiled.bank_stage_ids[bank_id]
+        path_id, target, arbiters, following = hop
         if target >= 0 and (
             not self.free_slots[target] or self.accepted_cycle[target] == cycle
         ):
@@ -267,12 +283,8 @@ class VectorEngine:
         row = flits.allocate(core_id, bank_id, path_id, is_write, created_cycle)
         flits.injected_cycle[row] = cycle
         self.total_injected += 1
+        self._next_move.append(following)
         if target >= 0:
-            if following[0] == BANK:
-                following = (
-                    compiled.bank_stage_ids[bank_id], following[1], following[2]
-                )
-            self._next_move.append(following)
             queue = self.queues[target]
             if not queue:
                 self.occupied[target] = True
@@ -283,7 +295,6 @@ class VectorEngine:
             self.in_flight += 1
         else:
             # Degenerate zero-register path: completes at injection.
-            self._next_move.append(following)
             flits.completed_cycle[row] = cycle
             self.total_completed += 1
         return row
@@ -330,6 +341,10 @@ class VectorStageNetwork:
         self.engine = VectorEngine(self.compiled)
         #: Rows of in-flight object flits, keyed by row id.
         self._flit_of_row: dict[int, Flit] = {}
+        #: ``(flit, injection hop)`` of the flit each core last failed to
+        #: inject: a core retries its queue head every cycle, so the head's
+        #: template is resolved once, not on every attempt.
+        self._waiting: dict[int, tuple[Flit, tuple]] = {}
 
     # -- StageNetwork interface ------------------------------------------ #
 
@@ -363,19 +378,30 @@ class VectorStageNetwork:
     def try_inject(self, flit: Flit, cycle: int) -> bool:
         """Try to inject an object flit; mirrors ``StageNetwork.try_inject``.
 
-        A failed attempt allocates nothing (see
+        A failed attempt allocates no engine row (see
         :meth:`VectorEngine.inject_new`), so core models may retry with the
-        same — or a different — flit object every cycle.
+        same — or a different — flit object every cycle; a flit retried by
+        the same core reuses its resolved injection hop.
         """
         if flit.position != -1:
             raise ValueError("flit was already injected")
+        core_id = flit.core_id
+        waiting = self._waiting.get(core_id)
+        if waiting is not None and waiting[0] is flit:
+            hop = waiting[1]
+        else:
+            hop = self.engine.injection_hop(core_id, flit.bank_id, flit.is_write)
         row = self.engine.inject_new(
-            flit.core_id, flit.bank_id, flit.is_write, flit.created_cycle, cycle
+            hop, core_id, flit.bank_id, flit.is_write, flit.created_cycle, cycle
         )
         if row is None:
+            if waiting is None or waiting[0] is not flit:
+                self._waiting[core_id] = (flit, hop)
             return False
+        if waiting is not None:
+            del self._waiting[core_id]
         flit.injected_cycle = cycle
-        path_id = self.engine.flits.path_id[row]
+        path_id = hop[0]
         if self.compiled.path_stage_seq[path_id]:
             flit.position = self.compiled.path_first_stage_pos[path_id]
             self._flit_of_row[row] = flit

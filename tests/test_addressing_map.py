@@ -62,6 +62,17 @@ class TestInterleavedMap:
         assert interleaved.global_bank_of(0) == 0
         assert interleaved.global_bank_of(stride + 8) == config.banks_per_tile + 2
 
+    def test_global_bank_of_agrees_with_decode_on_both_maps(
+        self, interleaved, hybrid, config
+    ):
+        for address_map in (interleaved, hybrid):
+            for address in range(0, config.l1_bytes, 52):
+                assert address_map.global_bank_of(address) == address_map.decode(
+                    address
+                ).global_bank(config.banks_per_tile), (address_map, address)
+        with pytest.raises(ValueError):
+            interleaved.global_bank_of(config.l1_bytes)
+
 
 class TestHybridMap:
     def test_sequential_region_is_tile_local(self, hybrid, config):

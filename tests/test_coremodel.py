@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.agents import Barrier, Compute, Load, Store, TraceAgent, Use
-from repro.core.cluster import MemPoolCluster
+from repro.core.cluster import ENGINES, MemPoolCluster
 from repro.core.config import MemPoolConfig, TimingParameters
 from repro.core.system import MemPoolSystem
 
@@ -176,3 +176,100 @@ class TestBarrierOperation:
         system = MemPoolSystem(cluster, agents)
         with pytest.raises(RuntimeError, match="barrier"):
             system.run(max_cycles=500)
+
+
+def run_agents(agents, engine, config=None):
+    """Run ``{core: build(cluster) -> operations}``; return system and result."""
+    cluster = MemPoolCluster(config or MemPoolConfig.tiny("toph"), engine=engine)
+    built = {core: TraceAgent(list(operations(cluster))) for core, operations in agents.items()}
+    system = MemPoolSystem(cluster, built)
+    return system, system.run()
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+class TestStallCountsAreExact:
+    """Exact stall counters for each way a core can wait.
+
+    Every value was recorded with every core stepped on every cycle; a
+    core that sleeps through a wait must account the skipped cycles the
+    same way.
+    """
+
+    def test_load_use_dependency_stall(self, engine):
+        # Load issued at cycle 0, Use stalls on cycles 1-4, data at cycle 5.
+        _, result = run_agents(
+            {0: lambda c: [Load(remote_address(c), tag="x"), Use("x"), Compute(2)]}, engine
+        )
+        stats = result.core_stats[0]
+        assert (result.cycles, stats.dependency_stalls, stats.finish_cycle) == (8, 4, 7)
+        assert stats.structural_stalls == stats.barrier_stalls == 0
+
+    def test_back_to_back_loads_with_one_outstanding(self, engine):
+        config = MemPoolConfig.tiny(
+            "toph", timing=TimingParameters(max_outstanding_loads=1)
+        )
+        _, result = run_agents(
+            {0: lambda c: [Load(remote_address(c) + 4 * i) for i in range(4)]},
+            engine, config,
+        )
+        stats = result.core_stats[0]
+        assert (result.cycles, stats.structural_stalls, stats.finish_cycle) == (21, 12, 16)
+        assert stats.dependency_stalls == 0
+        assert (stats.load_latency_sum, stats.load_latency_max) == (20, 5)
+
+    def test_injection_queue_full_stall(self, engine):
+        # Four cores of tile 0 store to one remote word through a
+        # one-entry injection queue: stores never wait on the ROB, so
+        # every structural stall is a full queue.
+        config = MemPoolConfig.tiny(
+            "toph", timing=TimingParameters(injection_queue_depth=1)
+        )
+        _, result = run_agents(
+            {core: lambda c: [Store(remote_address(c))] * 6 for core in range(4)},
+            engine, config,
+        )
+        stalls = [stats.structural_stalls for stats in result.core_stats[:4]]
+        finish = [stats.finish_cycle for stats in result.core_stats[:4]]
+        assert result.cycles == 27
+        assert stalls == [18, 9, 0, 12]
+        assert finish == [24, 15, 6, 18]
+
+    def test_unrelated_response_does_not_end_the_stall(self, engine):
+        # Use("b") stalls from cycle 2; the response of "a" wakes the core
+        # at cycle 5, it stalls once more and sleeps until "b" at cycle 6.
+        _, result = run_agents(
+            {0: lambda c: [
+                Load(remote_address(c), tag="a"),
+                Load(remote_address(c) + 4, tag="b"),
+                Use("b"),
+            ]},
+            engine,
+        )
+        stats = result.core_stats[0]
+        assert (result.cycles, stats.dependency_stalls, stats.finish_cycle) == (7, 4, 6)
+        assert (stats.load_latency_sum, stats.load_latency_max) == (10, 5)
+
+    def test_barrier_stalls_count_every_waiting_cycle(self, engine):
+        # Core 0 arrives at cycle 1, core 1 at cycle 50; the barrier opens
+        # at the end of cycle 50, so core 0 waited on cycles 2-50.
+        _, result = run_agents(
+            {
+                0: lambda c: [Compute(1), Barrier(), Compute(1)],
+                1: lambda c: [Compute(50), Barrier(), Compute(1)],
+            },
+            engine,
+        )
+        assert result.cycles == 53
+        assert [stats.barrier_stalls for stats in result.core_stats[:2]] == [49, 0]
+        assert [stats.finish_cycle for stats in result.core_stats[:2]] == [52, 52]
+        assert result.barrier_episodes == 1
+
+    def test_done_core_step_does_nothing(self, engine):
+        system, result = run_agents({0: lambda c: [Compute(3)]}, engine)
+        core = system.cores[0]
+        assert (result.cycles, core.stats.finish_cycle) == (4, 3)
+        before = dict(core.stats.__dict__)
+        for cycle in range(result.cycles, result.cycles + 5):
+            core.step(cycle)
+        assert core.stats.__dict__ == before
+        assert core.idle

@@ -153,6 +153,32 @@ class TestVectorStageNetwork:
         assert store.completed_cycle < load.completed_cycle
 
 
+    def test_retried_flit_resolves_its_hop_once(self, toph_config, monkeypatch):
+        cluster = MemPoolCluster(toph_config, engine="vector")
+        network = cluster.network
+        engine = network.engine
+        resolved = []
+        original = engine.injection_hop
+
+        def counting_hop(*args):
+            resolved.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(engine, "injection_hop", counting_hop)
+        first = cluster.make_bank_flit(0, 20, is_write=False, cycle=0)
+        second = cluster.make_bank_flit(0, 21, is_write=False, cycle=0)
+        assert network.try_inject(first, 0)
+        rows = engine.flits.count
+        # The core's port accepts one flit per cycle: the retry is refused
+        # without allocating a row, then accepted a cycle later.
+        assert not network.try_inject(second, 0)
+        assert not network.try_inject(second, 0)
+        assert engine.flits.count == rows
+        assert network.try_inject(second, 1)
+        assert resolved == [(0, 20, False), (0, 21, False)]
+        assert network._waiting == {}
+
+
 class TestClusterEngineSelection:
     def test_unknown_engine_rejected(self, toph_config):
         from repro.evaluation.settings import ExperimentSettings

@@ -192,6 +192,36 @@ def test_full_scale_256_core_equivalence_smoke():
             assert getattr(legacy, field) == getattr(other, field), (engine, field)
 
 
+@pytest.mark.skipif(
+    not os.environ.get("MEMPOOL_NIGHTLY"),
+    reason="paper-scale closed-loop equivalence runs in the nightly job "
+    "(set MEMPOOL_NIGHTLY=1 to run locally)",
+)
+def test_full_scale_256_core_kernel_equivalence_smoke():
+    """256-core Fig. 7 point: both engines give equal cycles and core stats.
+
+    The open-loop smoke above never reaches the core timing model; this
+    closed-loop point drives 256 cores through the facade's injection
+    retries, stalls and response wake-ups.
+    """
+    from repro.evaluation.fig7 import simulate_fig7_point
+
+    results = {
+        engine: simulate_fig7_point(
+            kernel="matmul", topology="toph", scrambling=True,
+            full_scale=True, engine=engine,
+        )
+        for engine in ("legacy", "vector")
+    }
+    legacy, vector = results["legacy"], results["vector"]
+    assert len(legacy.system.core_stats) == 256
+    assert legacy.correct and vector.correct
+    assert legacy.cycles == vector.cycles
+    assert [stats.__dict__ for stats in legacy.system.core_stats] == [
+        stats.__dict__ for stats in vector.system.core_stats
+    ]
+
+
 def test_point_function_equivalence_via_engine_flag():
     """The ``engine`` parameter of the fig5 point function is behaviour-neutral."""
     from repro.evaluation.fig5 import simulate_fig5_point

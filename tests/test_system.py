@@ -5,7 +5,7 @@ import pytest
 from repro.core.agents import Barrier, Compute, IdleAgent, Load, TraceAgent, Use
 from repro.core.cluster import MemPoolCluster
 from repro.core.config import MemPoolConfig
-from repro.core.coremodel import CoreStats
+from repro.core.coremodel import CoreStats, CoreTimingModel
 from repro.core.system import (
     BarrierMismatchError,
     GlobalBarrier,
@@ -110,6 +110,39 @@ class TestSystemRun:
         result = MemPoolSystem(toph_tiny_cluster, {}).run()
         assert result.cycles <= 1
         assert result.instructions == 0
+
+    def test_only_due_cores_are_stepped(self, toph_tiny_cluster, monkeypatch):
+        """Sleeping and finished cores are skipped by the per-cycle loop.
+
+        Idle cores step once (cycle 0, where they finish); core 0 steps when
+        its compute starts and ends; core 1 issues a remote load at cycle 0,
+        stalls on its use at cycle 1, wakes with the response at cycle 5
+        and finishes its compute at cycle 6.
+        """
+        config = toph_tiny_cluster.config
+        remote = ((config.tile_of_core(1) + 2) % config.num_tiles) * (
+            config.seq_region_bytes_per_tile
+        )
+        agents = {
+            0: TraceAgent([Compute(100)]),
+            1: TraceAgent([Load(remote, tag="x"), Use("x"), Compute(1)]),
+        }
+        stepped = []
+        original = CoreTimingModel.step
+
+        def counting_step(core, cycle):
+            stepped.append((core.core_id, cycle))
+            original(core, cycle)
+
+        monkeypatch.setattr(CoreTimingModel, "step", counting_step)
+        result = MemPoolSystem(toph_tiny_cluster, agents).run()
+        assert result.cycles == 101
+        assert sorted(cycle for core, cycle in stepped if core == 0) == [0, 100]
+        assert sorted(cycle for core, cycle in stepped if core == 1) == [0, 1, 5, 6]
+        assert sorted(core for core, cycle in stepped if core > 1) == list(
+            range(2, config.num_cores)
+        )
+        assert result.core_stats[1].dependency_stalls == 4
 
     def test_idle_agent_generates_no_work(self):
         agent = IdleAgent()
